@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .diagonalize import diagonalize_elliptic
@@ -30,9 +31,10 @@ CLASS_NAMES = sorted(cls.value for cls in MoebiusClass)
 
 def _print(doc, pretty: bool) -> None:
     if pretty:
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
     print(text)
 
 
@@ -48,8 +50,9 @@ def _load_matrix(path: str) -> Mat2H:
 def _quaternion_arg(text: str) -> Quaternion:
     parts = json.loads(text)
     if not isinstance(parts, list) or len(parts) != 4 \
-            or not all(isinstance(p, (int, float)) for p in parts):
-        raise ValueError("--point expects a JSON list of four numbers")
+            or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                       and math.isfinite(p) for p in parts):
+        raise ValueError("--point expects a JSON list of four finite numbers")
     return Quaternion.from_list(parts)
 
 
@@ -100,9 +103,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    point = _quaternion_arg(args.point)
     t = validate(_load_matrix(args.matrix), args.tol_membership)
-    image = apply(t, args.point)
-    _print({"point": args.point.as_list(), "image": image.as_list(),
+    image = apply(t, point)
+    _print({"point": point.as_list(), "image": image.as_list(),
             "image_norm": image.norm()}, args.pretty)
     return 0
 
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="evaluate the ball action at a point")
     _add_common(p)
-    p.add_argument("--point", type=_quaternion_arg, required=True,
+    p.add_argument("--point", required=True,
                    help="quaternion as a JSON list [w,x,y,z], |point| < 1")
     p.set_defaults(func=cmd_apply)
 

@@ -112,13 +112,18 @@ def conjugate(t: GroupElement, g: GroupElement,
 # -- random sampling ------------------------------------------------------
 
 
-def _unit_quaternion(rng) -> Quaternion:
-    v = rng.standard_normal(4)
+def _unit_vector(rng, k: int) -> list[float]:
+    """A uniform point on the unit sphere in R^k, by rejecting tiny draws."""
+    v = rng.standard_normal(k)
     n = float(np.linalg.norm(v))
     while n < 1e-6:
-        v = rng.standard_normal(4)
+        v = rng.standard_normal(k)
         n = float(np.linalg.norm(v))
-    return Quaternion(*(float(p) / n for p in v))
+    return [float(p) / n for p in v]
+
+
+def _unit_quaternion(rng) -> Quaternion:
+    return Quaternion(*_unit_vector(rng, 4))
 
 
 def _unit_with_bounded_angle(rng, max_re: float) -> Quaternion:

@@ -90,12 +90,17 @@ class InvariantReport:
         }
 
 
-def report(t: GroupElement) -> InvariantReport:
-    m = t.m
+def _power_chain(m: Mat2H) -> tuple[Mat2H, Mat2H, Mat2H, Mat2H]:
+    """T^2, T^3, T^4 and T^6 from four products."""
     m2 = m @ m
     m3 = m2 @ m
     m4 = m3 @ m
-    m6 = m4 @ m2
+    return m2, m3, m4, m4 @ m2
+
+
+def report(t: GroupElement) -> InvariantReport:
+    m = t.m
+    m2, m3, m4, m6 = _power_chain(m)
     try:
         legacy = delta_legacy(t)
     except NotApplicableError:
@@ -146,10 +151,7 @@ def _check_delta_cube(t: GroupElement, _g: GroupElement) -> float:
 
 def _sixth_power_values(t: GroupElement):
     m = t.m
-    m2 = m @ m
-    m3 = m2 @ m
-    m4 = m3 @ m
-    m6 = m4 @ m2
+    m2, m3, m4, m6 = _power_chain(m)
     tr1, tr2, tr3, tr4 = m.tr(), m2.tr(), m3.tr(), m4.tr()
     d = delta(m)
     first = (0.5 * tr2 * tr2 + 0.5 * tr4 - 1.0) ** 2 * tr1 * tr1 * d

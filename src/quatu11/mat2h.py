@@ -61,8 +61,10 @@ class Mat2H:
             if not isinstance(parts, list) or len(parts) != 4:
                 raise ValueError(f"entry {key!r} must be a list of four numbers")
             for p in parts:
-                if not isinstance(p, (int, float)) or not math.isfinite(p):
-                    raise ValueError(f"entry {key!r} has a non-finite component")
+                if not isinstance(p, (int, float)) or isinstance(p, bool) \
+                        or not math.isfinite(p):
+                    raise ValueError(
+                        f"entry {key!r} has a non-numeric or non-finite part")
             entries[key] = Quaternion.from_list(parts)
         return cls(**entries)
 

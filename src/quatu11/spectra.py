@@ -5,7 +5,9 @@ a real part and a modulus; for group elements at most two such spheres
 occur and they follow from the trace and delta alone.  The S-spectrum
 coincides with the right spectrum.  Left eigenvalues are not similarity
 invariant and are computed entrywise from the quadratic q^2 + B q + C == 0
-with B = b^-1 (a - d), C = -b^-1 c.
+with B = b^-1 (a - d), C = -b^-1 c, solved in closed form through one real
+resolvent cubic (L. Huang, W. So, "Quadratic formulas for quaternions",
+Appl. Math. Lett. 15, 2002).
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import NegativeRadicandError, NoRootFoundError
-from .group import GroupElement
+from .group import GroupElement, _unit_vector
 from .invariants import delta
 from .mat2h import Mat2H
+from .moebius import EPS_CLASS
 from .quaternion import Quaternion
 
-EPS_CLASS = 1e-10
 SPECTRUM_TOL = 1e-7
 COLLAPSE_TOL = 1e-10
 
@@ -43,12 +44,7 @@ __all__ = [
 
 
 def _unit_imaginary(rng) -> Quaternion:
-    v = rng.standard_normal(3)
-    n = float(np.linalg.norm(v))
-    while n < 1e-6:
-        v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
-    return Quaternion(0.0, *(float(p) / n for p in v))
+    return Quaternion(0.0, *_unit_vector(rng, 3))
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,113 +271,53 @@ class LeftSpectrumDescription:
                 "families": [f.to_json() for f in self.families]}
 
 
-def _lmul_matrix(q: Quaternion) -> np.ndarray:
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([[w, -x, -y, -z],
-                     [x, w, -z, y],
-                     [y, z, w, -x],
-                     [z, -y, x, w]])
-
-
-def _rmul_matrix(q: Quaternion) -> np.ndarray:
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([[w, -x, -y, -z],
-                     [x, w, z, -y],
-                     [y, -z, w, x],
-                     [z, y, -x, w]])
-
-
 def _quad_residual(q: Quaternion, B: Quaternion, C: Quaternion) -> float:
     return (q * q + B * q + C).norm()
 
 
-def _newton_polish(q: Quaternion, B: Quaternion, C: Quaternion) -> Quaternion:
-    # F(q) = q^2 + Bq + C; dF(h) = qh + hq + Bh, assembled as a real 4x4.
-    jacobian = _lmul_matrix(q + B) + _rmul_matrix(q)
-    value = q * q + B * q + C
-    try:
-        step = np.linalg.solve(jacobian, -np.array(value.as_list()))
-    except np.linalg.LinAlgError:
-        return q
-    polished = q + Quaternion(*(float(s) for s in step))
-    if _quad_residual(polished, B, C) < _quad_residual(q, B, C):
-        return polished
-    return q
+def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
+    """Roots of q^2 + B q + C == 0 for B, C not both real (Huang and So).
 
-
-def _isolated_root_candidates(B: Quaternion, C: Quaternion) -> list[Quaternion]:
-    """Real roots of the scalar elimination polynomial, lifted back.
-
-    Writing q = q0 + qv, the imaginary part of q^2 + Bq + C == 0 is the
-    linear system (mu I + [Bv]_x) qv = -q0 Bv - Cv with mu = 2 q0 + B0.
-    Inverting it via mu^2 I - mu K + Bv Bv^T and substituting into the real
-    part clears denominators into a degree-8 polynomial in q0.
+    The shift q = y - Re(B)/2 leaves y^2 + b y + c == 0 with b = Im B.  Every
+    root also solves y^2 - T y + N == 0 with T = 2 Re y and N = |y|^2, so
+    (b + T) y == N - c, and (T, N) follows from the real resolvent cubic
+    z^3 + 2 beta z^2 + (beta^2 - 4E) z - D^2 == 0 in z = T^2, where
+    beta = |b|^2 + 2 Re c, E = |c|^2 and D = 2 <b, Im c>.
     """
-    B0, C0 = B.w, C.w
-    bv = np.array([B.x, B.y, B.z])
-    cv = np.array([C.x, C.y, C.z])
-    nb2 = float(bv @ bv)
-    K = np.array([[0.0, -bv[2], bv[1]],
-                  [bv[2], 0.0, -bv[0]],
-                  [-bv[1], bv[0], 0.0]])
-
-    mu = np.array([B0, 2.0])
-    mu2 = npoly.polymul(mu, mu)
-    denom = npoly.polymul(mu, npoly.polyadd(mu2, [nb2]))
-    rhs = [np.array([-cv[i], -bv[i]]) for i in range(3)]
-    numer = []
-    for i in range(3):
-        acc = np.zeros(1)
-        for j in range(3):
-            entry = npoly.polyadd(
-                npoly.polymul(mu2, [1.0 if i == j else 0.0]),
-                npoly.polyadd(npoly.polymul(mu, [-K[i, j]]),
-                              [bv[i] * bv[j]]))
-            acc = npoly.polyadd(acc, npoly.polymul(entry, rhs[j]))
-        numer.append(acc)
-
-    poly = npoly.polymul(npoly.polymul([C0, B0, 1.0], denom), denom)
-    for i in range(3):
-        poly = npoly.polysub(poly, npoly.polymul(numer[i], numer[i]))
-    dot_bn = np.zeros(1)
-    for i in range(3):
-        dot_bn = npoly.polyadd(dot_bn, npoly.polymul([bv[i]], numer[i]))
-    poly = npoly.polysub(poly, npoly.polymul(dot_bn, denom))
-
-    candidates = []
-    for root in npoly.polyroots(poly):
-        if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
-            continue
-        q0 = float(root.real)
-        mu_val = 2.0 * q0 + B0
-        if abs(mu_val) <= 1e-8 * (1.0 + abs(B0)):
-            continue  # the mu == 0 stratum is handled separately
-        qv = np.linalg.solve(mu_val * np.eye(3) + K, -q0 * bv - cv)
-        candidates.append(Quaternion(q0, *(float(p) for p in qv)))
-
-    # mu == 0: q0 is pinned at -B0/2 and the linear system degenerates to
-    # Bv x qv = rhs, solvable only when rhs is orthogonal to Bv.
-    q0 = -0.5 * B0
-    rhs0 = -q0 * bv - cv
-    if abs(float(bv @ rhs0)) <= 1e-8 * (1.0 + nb2) * (1.0 + float(np.linalg.norm(rhs0))):
-        qp = np.cross(rhs0, bv) / nb2
-        const = qp @ qp - (q0 * q0 + B0 * q0 + C0)
-        disc = nb2 * nb2 - 4.0 * nb2 * const
-        if disc >= 0.0:
-            for sign in (1.0, -1.0):
-                tparam = (-nb2 + sign * math.sqrt(disc)) / (2.0 * nb2)
-                qv = qp + tparam * bv
-                candidates.append(Quaternion(q0, *(float(p) for p in qv)))
-    return candidates
+    b = B.imag()
+    c = C - 0.25 * B.w * B.w - b * (0.5 * B.w)
+    nb2 = b.norm_sq()
+    beta = nb2 + 2.0 * c.w
+    D = 2.0 * b.dot(c)
+    # beta^2 - 4E with the Re(c)^2 terms cancelled by hand: the direct
+    # difference loses every digit when B and C are nearly real.
+    gap = nb2 * nb2 + 4.0 * c.w * nb2 - 4.0 * c.imag().norm_sq()
+    if D == 0.0:
+        z = 2.0 * c.norm() - beta
+    else:
+        # The root of largest real part is the one with z + beta > 0.
+        z = float(max(np.roots([1.0, 2.0 * beta, gap, -D * D]).real))
+    if z > 0.0:
+        pairs = [(t, 0.5 * (z + beta + D / t))
+                 for t in (math.sqrt(z), -math.sqrt(z))]
+    else:
+        # T == 0; a roundoff-negative z at the D == 0 double root lands here.
+        root = math.sqrt(max(gap, 0.0))
+        pairs = [(0.0, 0.5 * (beta + root)), (0.0, 0.5 * (beta - root))]
+    return [(b + t).inverse() * (n - c) - 0.5 * B.w
+            for t, n in pairs if t != 0.0 or nb2 > 0.0]
 
 
 def left_eigenvalues(m: Mat2H, residual_tol: float = 1e-9,
                      singular_tol: float = SPECTRUM_TOL) -> LeftSpectrumDescription:
     """All left eigenvalues of M, as isolated points and/or a sphere family.
 
-    Every emitted point satisfies the quadratic residual bound and makes
-    M - lambda I singular; when no candidate survives those filters the
-    computation is reported as failed rather than silently empty.
+    With b != 0, lambda = a + b q for the roots q of q^2 + B q + C == 0.
+    Real B and C give two real roots or a sphere family; otherwise the
+    Huang-So formulas give at most two candidates.  Every emitted point
+    satisfies the quadratic residual bound and makes M - lambda I singular;
+    when no candidate survives those filters the computation is reported as
+    failed rather than silently empty.
     """
     scale = 1.0 + m.frobenius()
     if m.b.norm() <= 1e-10 * scale:
@@ -394,45 +330,21 @@ def left_eigenvalues(m: Mat2H, residual_tol: float = 1e-9,
     binv = m.b.inverse()
     B = binv * (m.a - m.d)
     C = -(binv * m.c)
-    bv = np.array([B.x, B.y, B.z])
-    cv = np.array([C.x, C.y, C.z])
-    cross = np.cross(bv, cv)
-    parallel = float(np.linalg.norm(cross)) <= 1e-10 * (
-        1.0 + float(np.linalg.norm(bv)) * float(np.linalg.norm(cv)))
-
-    candidates: list[Quaternion]
-    if parallel:
-        nb = float(np.linalg.norm(bv))
-        nc = float(np.linalg.norm(cv))
-        axis = None
-        if nb >= nc and nb > 1e-10:
-            axis = bv / nb
-        elif nc > 1e-10:
-            axis = cv / nc
-        if axis is None:
-            # Real coefficients: either two real roots or a whole sphere.
-            disc = B.w * B.w - 4.0 * C.w
-            if disc < -1e-12:
-                radius = math.sqrt(C.w - 0.25 * B.w * B.w)
-                family = SphereFamily(m.a - m.b * (0.5 * B.w), m.b * radius)
-                return LeftSpectrumDescription((), (family,))
-            root = math.sqrt(max(disc, 0.0))
-            candidates = [Quaternion.real(0.5 * (-B.w + root)),
-                          Quaternion.real(0.5 * (-B.w - root))]
-        else:
-            # B and C share a slice; solve the complex quadratic there.
-            bx = float(bv @ axis)
-            cx = float(cv @ axis)
-            roots = np.roots([1.0, complex(B.w, bx), complex(C.w, cx)])
-            candidates = [Quaternion(float(z.real),
-                                     *(float(z.imag) * float(p) for p in axis))
-                          for z in roots]
+    if B.imag_norm() <= 1e-10 and C.imag_norm() <= 1e-10:
+        # Real coefficients: either two real roots or a whole sphere.
+        disc = B.w * B.w - 4.0 * C.w
+        if disc < -1e-12:
+            radius = math.sqrt(C.w - 0.25 * B.w * B.w)
+            family = SphereFamily(m.a - m.b * (0.5 * B.w), m.b * radius)
+            return LeftSpectrumDescription((), (family,))
+        root = math.sqrt(max(disc, 0.0))
+        candidates = [Quaternion.real(0.5 * (-B.w + root)),
+                      Quaternion.real(0.5 * (-B.w - root))]
     else:
-        candidates = _isolated_root_candidates(B, C)
+        candidates = _quadratic_roots(B, C)
 
     seen: list[Quaternion] = []
     for q in candidates:
-        q = _newton_polish(q, B, C)
         if _quad_residual(q, B, C) > residual_tol:
             continue
         lam = m.a + m.b * q

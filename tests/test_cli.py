@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 R2 = math.sqrt(2)
 
@@ -18,8 +22,12 @@ EXAMPLE_DOC = {
 
 
 def run_cli(*args, stdin=None):
+    # Put this checkout's src/ first so the child imports the code under test.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "quatu11.cli", *args],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin, env=env)
 
 
 @pytest.fixture()
@@ -85,6 +93,22 @@ def test_apply_golden(example_file):
 def test_apply_rejects_exterior_points(example_file):
     proc = run_cli("apply", "--point", "[1, 0, 0, 0]", example_file)
     assert proc.returncode == 1
+
+
+def test_apply_rejects_non_finite_point(example_file):
+    proc = run_cli("apply", "--point", "[NaN, 0, 0, 0]", example_file)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
+
+def test_boolean_component_is_not_a_number():
+    # read as 1, the document would be the identity, a member
+    doc = {"a": [True, 0, 0, 0], "b": [0] * 4, "c": [0] * 4, "d": [1, 0, 0, 0]}
+    proc = run_cli("validate", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
 
 
 def test_diagonalize_output(example_file):

@@ -192,3 +192,25 @@ def test_left_spectrum_json_shape():
     assert set(doc) == {"points", "families"}
     fam = doc["families"][0]
     assert set(fam) == {"alpha", "beta", "center_re", "offset", "axis", "radius"}
+
+
+@pytest.mark.parametrize("cls", ["SimpleParabolic", "SimpleElliptic"])
+def test_left_spectrum_never_fails_on_double_roots(cls):
+    # these classes put the quadratic at or near a double root, where the
+    # roots are only sqrt(eps)-conditioned
+    for k in range(60):
+        m = random_element([77, k], class_hint=cls).m
+        desc = left_eigenvalues(m)
+        assert not desc.families
+        assert 1 <= len(desc.points) <= 2
+        for lam in desc.points:
+            assert (m - Mat2H.diag(lam, lam)).is_singular(1e-7)
+
+
+def test_left_spectrum_near_real_coefficients():
+    # B ~ 1e-16 and Im C ~ 5e-5: beta^2 - 4E must not be formed directly
+    m = random_element([10, 2, 4], class_hint="SimpleLoxodromic").m
+    desc = left_eigenvalues(m)
+    assert len(desc.points) == 2
+    for lam in desc.points:
+        assert (m - Mat2H.diag(lam, lam)).is_singular(1e-7)
