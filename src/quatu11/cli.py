@@ -56,6 +56,16 @@ def _quaternion_arg(text: str) -> Quaternion:
     return Quaternion.from_list(parts)
 
 
+def _check_tolerances(args) -> None:
+    # A NaN or infinite tolerance turns every `residual > tol` gate into a
+    # pass, and a negative one rejects everything.
+    for name in ("tol_membership", "tol_spectrum", "tol_identity", "eps_class"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"--{name.replace('_', '-')} must be a finite "
+                             f"non-negative number, got {value!r}")
+
+
 def cmd_validate(args) -> int:
     m = _load_matrix(args.matrix)
     residual = membership_residual(m)
@@ -240,6 +250,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
+        _check_tolerances(args)
         return args.func(args)
     except (NotApplicableError, NotEllipticError, PoleError,
             CaseMismatchError) as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CaseMismatchError, ClaimViolationError, NotEllipticError
-from .group import GroupElement, inverse_u11, membership_residual, validate
+from .group import GroupElement, _j_adjoint, membership_residual, validate
 from .invariants import delta
 from .mat2h import Mat2H
 from .moebius import EPS_CLASS, is_elliptic
@@ -66,7 +66,7 @@ class DiagonalizationResult:
 
 
 def _conjugation_residual(x: GroupElement, t: GroupElement, d: Mat2H) -> float:
-    return (x.m @ t.m @ inverse_u11(x).m - d).frobenius()
+    return (x.m @ t.m @ _j_adjoint(x.m) - d).frobenius()
 
 
 def diagonalize_elliptic(t: GroupElement,

@@ -48,7 +48,8 @@ def membership_residual(m: Mat2H) -> float:
         (a.conjugate() * b - c.conjugate() * d).norm(),
         (a * c.conjugate() - b * d.conjugate()).norm(),
     )
-    gram = (m.adjoint() @ J @ m - J).frobenius()
+    # T* J T - J with J T == [[a, b], [-c, -d]] formed directly.
+    gram = (m.adjoint() @ Mat2H(a, b, -c, -d) - J).frobenius()
     return max(entrywise, gram)
 
 
@@ -91,17 +92,21 @@ def validate(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> GroupElement:
     return GroupElement(m, residual)
 
 
+def _j_adjoint(m: Mat2H) -> Mat2H:
+    """J M* J, written out entrywise; the inverse of M when M is a member."""
+    return Mat2H(m.a.conjugate(), -m.c.conjugate(),
+                 -m.b.conjugate(), m.d.conjugate())
+
+
 def inverse_u11(t: GroupElement) -> GroupElement:
-    """Group inverse J T* J, written out entrywise; no linear solve needed."""
-    m = t.m
-    inv = Mat2H(m.a.conjugate(), -m.c.conjugate(),
-                -m.b.conjugate(), m.d.conjugate())
+    """Group inverse J T* J; no linear solve needed."""
+    inv = _j_adjoint(t.m)
     return GroupElement(inv, membership_residual(inv))
 
 
 def conjugate(t: GroupElement, g: GroupElement,
               tol: float = MEMBERSHIP_TOL) -> GroupElement:
-    product = g.m @ t.m @ inverse_u11(g).m
+    product = g.m @ t.m @ _j_adjoint(g.m)
     residual = membership_residual(product)
     if residual > 100.0 * tol:
         raise MembershipDriftError(
@@ -213,8 +218,7 @@ def _candidate(rng, hint: str | None) -> Mat2H:
     else:
         raise ValueError(f"unknown class hint {hint!r}")
     conjugator = _generic(rng)
-    conjugator_ge = GroupElement(conjugator, membership_residual(conjugator))
-    return (conjugator @ base @ inverse_u11(conjugator_ge).m)
+    return conjugator @ base @ _j_adjoint(conjugator)
 
 
 def random_element(seed, class_hint: str | None = None,

@@ -66,8 +66,10 @@ def delta_via_traces(t: GroupElement) -> float:
 def mat_pow(m: Mat2H, n: int) -> Mat2H:
     if n < 0:
         raise ValueError("only nonnegative powers are supported")
-    out = Mat2H.identity()
-    for _ in range(n):
+    if n == 0:
+        return Mat2H.identity()
+    out = m
+    for _ in range(n - 1):
         out = out @ m
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .quaternion import ONE, ZERO, Quaternion
+from .quaternion import ONE, ZERO, Quaternion, _mul_add
 
 SINGULAR_TOL = 1e-12
 
@@ -95,12 +95,10 @@ class Mat2H:
     def __matmul__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
             return NotImplemented
-        return Mat2H(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return _from_quaternions(_mul_add(a, e, b, g), _mul_add(a, f, b, h),
+                                 _mul_add(c, e, d, g), _mul_add(c, f, d, h))
 
     def __rmul__(self, scalar) -> "Mat2H":
         # Scalars multiply from the left; quaternion scalars do not commute
@@ -163,3 +161,22 @@ class Mat2H:
         rep = self.chi()
         smallest = np.linalg.svd(rep, compute_uv=False)[-1]
         return bool(smallest <= tol * (1.0 + np.linalg.norm(rep)))
+
+
+_set_a, _set_b, _set_c, _set_d = (Mat2H.__dict__[name].__set__
+                                  for name in ("a", "b", "c", "d"))
+
+
+def _from_quaternions(a: Quaternion, b: Quaternion,
+                      c: Quaternion, d: Quaternion) -> Mat2H:
+    """Mat2H from entries that are already Quaternions, skipping _entry.
+
+    Sets the slots directly; if Mat2H lost slots=True, the descriptor
+    lookup above would fail at import.
+    """
+    out = object.__new__(Mat2H)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_c(out, c)
+    _set_d(out, d)
+    return out

@@ -26,6 +26,9 @@ from .quaternion import Quaternion
 
 SPECTRUM_TOL = 1e-7
 COLLAPSE_TOL = 1e-10
+# A root discriminant at most this fraction of the size of its terms is
+# roundoff on an exact double root, and is taken as zero.
+DOUBLE_ROOT_TOL = 1e-13
 
 __all__ = [
     "SpectralSphere",
@@ -292,17 +295,20 @@ def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
     # beta^2 - 4E with the Re(c)^2 terms cancelled by hand: the direct
     # difference loses every digit when B and C are nearly real.
     gap = nb2 * nb2 + 4.0 * c.w * nb2 - 4.0 * c.imag().norm_sq()
+    # z and N are of the size of |b|^2 + 2|c|, gap of its square.
+    size = nb2 + 2.0 * c.norm()
     if D == 0.0:
         z = 2.0 * c.norm() - beta
     else:
         # The root of largest real part is the one with z + beta > 0.
         z = float(max(np.roots([1.0, 2.0 * beta, gap, -D * D]).real))
-    if z > 0.0:
+    if z > DOUBLE_ROOT_TOL * size:
         pairs = [(t, 0.5 * (z + beta + D / t))
                  for t in (math.sqrt(z), -math.sqrt(z))]
     else:
-        # T == 0; a roundoff-negative z at the D == 0 double root lands here.
-        root = math.sqrt(max(gap, 0.0))
+        # T == 0.  At a double root z and gap are zero up to roundoff, and
+        # their square roots would split it into two points ~1e-8 apart.
+        root = math.sqrt(gap) if gap > DOUBLE_ROOT_TOL * size * size else 0.0
         pairs = [(0.0, 0.5 * (beta + root)), (0.0, 0.5 * (beta - root))]
     return [(b + t).inverse() * (n - c) - 0.5 * B.w
             for t, n in pairs if t != 0.0 or nb2 > 0.0]
@@ -337,7 +343,8 @@ def left_eigenvalues(m: Mat2H, residual_tol: float = 1e-9,
             radius = math.sqrt(C.w - 0.25 * B.w * B.w)
             family = SphereFamily(m.a - m.b * (0.5 * B.w), m.b * radius)
             return LeftSpectrumDescription((), (family,))
-        root = math.sqrt(max(disc, 0.0))
+        terms = B.w * B.w + 4.0 * abs(C.w)
+        root = math.sqrt(disc) if disc > DOUBLE_ROOT_TOL * terms else 0.0
         candidates = [Quaternion.real(0.5 * (-B.w + root)),
                       Quaternion.real(0.5 * (-B.w - root))]
     else:

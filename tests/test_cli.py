@@ -111,6 +111,35 @@ def test_boolean_component_is_not_a_number():
     assert proc.stderr.startswith("error:")
 
 
+NON_MEMBER = {"a": [1, 0, 0, 0], "b": [1, 0, 0, 0], "c": [0] * 4,
+              "d": [1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("command", ["invariants", "spectrum"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_tolerance_flags_cannot_switch_off_the_membership_gate(command, value):
+    proc = run_cli(command, "-", f"--tol-membership={value}",
+                   stdin=json.dumps(NON_MEMBER))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--tol-spectrum", "--eps-class"])
+def test_spectrum_rejects_non_finite_tolerances(example_file, flag):
+    proc = run_cli("spectrum", example_file, f"{flag}=nan")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
+
+def test_check_identities_rejects_negative_tolerance():
+    proc = run_cli("check-identities", "--seed", "1", "--trials", "1",
+                   "--tol-identity=-1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+
+
 def test_diagonalize_output(example_file):
     doc = json.loads(run_cli("diagonalize", example_file).stdout)
     assert doc["case"] == "Case3"

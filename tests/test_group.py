@@ -55,6 +55,31 @@ def test_gram_condition_defines_membership(generic_pool):
         assert gram.frobenius() < 1e-9
 
 
+def _membership_residual_with_full_gram(m: Mat2H) -> float:
+    """membership_residual with the Gram term formed as T* J T - J."""
+    a, b, c, d = m.entries()
+    entrywise = max(
+        abs(a.norm() - d.norm()),
+        abs(b.norm() - c.norm()),
+        abs(a.norm_sq() - c.norm_sq() - 1.0),
+        (a.conjugate() * b - c.conjugate() * d).norm(),
+        (a * c.conjugate() - b * d.conjugate()).norm(),
+    )
+    return max(entrywise, (m.adjoint() @ J @ m - J).frobenius())
+
+
+def test_shortcuts_are_bit_identical_on_class_pool(class_pool):
+    elements = [t for pool in class_pool.values() for t in pool]
+    for t, g in zip(elements, elements[1:] + elements[:1]):
+        for m in (t.m, Mat2H(t.m.a, t.m.b, t.m.c, -t.m.d)):
+            want = _membership_residual_with_full_gram(m)
+            assert repr(membership_residual(m)) == repr(want)
+        got = conjugate(t, g).m
+        want = g.m @ t.m @ inverse_u11(g).m
+        assert got == want
+        assert repr(got) == repr(want)
+
+
 def test_conjugation_by_identity_and_inverse(example, generic_pool):
     eye = validate(Mat2H.identity())
     assert conjugate(example, eye).m == example.m

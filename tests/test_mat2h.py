@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatu11 import Mat2H, QI, QJ, QK, Quaternion
 from quatu11.errors import SingularMatrixError
@@ -41,6 +42,48 @@ def test_matmul_identity_and_associativity():
         lhs = (m @ n) @ p
         rhs = m @ (n @ p)
         assert (lhs - rhs).frobenius() <= 1e-9 * (1.0 + m.frobenius() * n.frobenius() * p.frobenius())
+
+
+def _entrywise_product(x: Mat2H, y: Mat2H) -> Mat2H:
+    """The matrix product through Quaternion.__mul__ and __add__."""
+    return Mat2H(x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
+                 x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
+
+
+def _bits(m: Mat2H) -> tuple:
+    # repr tells -0.0 from 0.0 and an int from a float, which == does not
+    return tuple(repr(v) for q in m.entries() for v in q.as_list())
+
+
+def _assert_same_product(x: Mat2H, y: Mat2H) -> None:
+    got, want = x @ y, _entrywise_product(x, y)
+    assert got == want
+    assert _bits(got) == _bits(want)
+
+
+def test_fused_product_matches_quaternion_route_on_pools(class_pool,
+                                                         generic_pool):
+    elements = [t.m for pool in class_pool.values() for t in pool]
+    elements += [t.m for t in generic_pool]
+    for x, y in zip(elements, elements[1:] + elements[:1]):
+        _assert_same_product(x, y)
+        _assert_same_product(x, x.adjoint())
+
+
+components = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, -1]),
+    st.integers(min_value=-1000, max_value=1000),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+matrices = st.builds(
+    Mat2H, *(st.builds(Quaternion, components, components, components,
+                       components) for _ in range(4)))
+
+
+@settings(deadline=None)
+@given(x=matrices, y=matrices)
+def test_fused_product_matches_quaternion_route(x, y):
+    _assert_same_product(x, y)
 
 
 def test_left_scalar_multiplication():

@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from quatu11 import (Mat2H, QI, QJ, Quaternion, RightSpectrum, SpectralSphere,
-                     left_eigenvalues, random_element, right_spectrum,
-                     right_spectrum_casewise, right_spectrum_oracle,
-                     s_spectrum, validate, verify_s_point)
+from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, RightSpectrum,
+                     SpectralSphere, classify, inverse_u11, left_eigenvalues,
+                     random_element, right_spectrum, right_spectrum_casewise,
+                     right_spectrum_oracle, s_spectrum, validate,
+                     verify_s_point)
 from quatu11.errors import NegativeRadicandError
 from quatu11.spectra import _clamped_sqrt
 
@@ -205,6 +206,44 @@ def test_left_spectrum_never_fails_on_double_roots(cls):
         assert 1 <= len(desc.points) <= 2
         for lam in desc.points:
             assert (m - Mat2H.diag(lam, lam)).is_singular(1e-7)
+
+
+def test_simple_parabolic_double_root_is_one_point():
+    # the exact double left eigenvalue is sign(a0) * 1; the two Huang-So
+    # candidates straddle it by O(sqrt(eps)) and must come out as one point
+    for k in range(60):
+        m = random_element(k, class_hint="SimpleParabolic").m
+        desc = left_eigenvalues(m)
+        assert not desc.families
+        assert len(desc.points) == 1
+        exact = Quaternion(math.copysign(1.0, m.a.w))
+        assert (desc.points[0] - exact).norm() <= 1e-12
+
+
+def test_close_distinct_left_eigenvalues_stay_two_points():
+    # only a double root up to roundoff is one point; roots 1e-6 apart on a
+    # triangular matrix and 2e-5 apart on a conjugated near-parabolic
+    # loxodromic element with |b| ~ 2 are two
+    tri = Mat2H(Quaternion(1.0), Quaternion(1.0), Quaternion(0.0),
+                Quaternion(1.0 + 1e-6))
+    points = left_eigenvalues(tri).points
+    assert len(points) == 2
+    assert (points[0] - Quaternion(1.0)).norm() <= 1e-15
+    assert (points[1] - Quaternion(1.0 + 1e-6)).norm() <= 1e-15
+
+    mu, s = 0.7, 1e-5
+    parabolic = Mat2H(Quaternion(1.0, mu), Quaternion(0.0, -mu),
+                      Quaternion(0.0, mu), Quaternion(1.0, -mu))
+    boost = Mat2H(math.cosh(s), math.sinh(s), math.sinh(s), math.cosh(s))
+    g = random_element(2)
+    m = g.m @ parabolic @ boost @ inverse_u11(g).m
+    assert classify(validate(m)) == MoebiusClass.SIMPLE_LOXODROMIC
+    assert m.b.norm() > 1.0
+    desc = left_eigenvalues(m)
+    assert len(desc.points) == 2
+    assert (desc.points[0] - desc.points[1]).norm() > 1e-5
+    for lam in desc.points:
+        assert (m - Mat2H.diag(lam, lam)).is_singular(1e-7)
 
 
 def test_left_spectrum_near_real_coefficients():
