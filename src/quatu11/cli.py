@@ -69,6 +69,9 @@ def _check_tolerances(args) -> None:
 def cmd_validate(args) -> int:
     m = _load_matrix(args.matrix)
     residual = membership_residual(m)
+    if not math.isfinite(residual):
+        raise ValueError(f"membership residual is not finite ({residual}); "
+                         "the components are too large for float arithmetic")
     member = residual <= args.tol_membership
     _print({"member": member, "membership_residual": residual,
             "tol": args.tol_membership}, args.pretty)
@@ -258,6 +261,10 @@ def main(argv=None) -> int:
         return 2
     except (QuatU11Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # Finite components can still be too large for float arithmetic.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -13,12 +13,12 @@ offender across them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
-from .mat2h import Mat2H
+from .mat2h import Mat2H, _from_quaternions
 from .quaternion import ONE, Quaternion
 
 MEMBERSHIP_TOL = 1e-9
@@ -40,17 +40,82 @@ __all__ = [
 
 
 def membership_residual(m: Mat2H) -> float:
-    a, b, c, d = m.entries()
+    """Worst of the five entry conditions and ||T* J T - J||_F.
+
+    Plain float arithmetic on the 16 components, in the operation order of
+    the Quaternion route: conjugates as negated components, the products as
+    Quaternion.__mul__ and _mul_add form them, J subtracted entry by entry
+    and the Frobenius sum taken over a, b, c, d.  The result therefore has
+    the same bits as that route while building no Quaternion or Mat2H.
+    """
+    a, b, c, d = m.a, m.b, m.c, m.d
+    aw, ax, ay, az = a.w, a.x, a.y, a.z
+    bw, bx, by, bz = b.w, b.x, b.y, b.z
+    cw, cx, cy, cz = c.w, c.x, c.y, c.z
+    dw, dx, dy, dz = d.w, d.x, d.y, d.z
+    # imaginary parts of the conjugates, then the negated entries -c and -d
+    ax_, ay_, az_ = -ax, -ay, -az
+    bx_, by_, bz_ = -bx, -by, -bz
+    cx_, cy_, cz_ = -cx, -cy, -cz
+    dx_, dy_, dz_ = -dx, -dy, -dz
+    ncw, ncx, ncy, ncz = -cw, -cx, -cy, -cz
+    ndw, ndx, ndy, ndz = -dw, -dx, -dy, -dz
+
+    na = aw * aw + ax * ax + ay * ay + az * az
+    nb = bw * bw + bx * bx + by * by + bz * bz
+    nc = cw * cw + cx * cx + cy * cy + cz * cz
+    nd = dw * dw + dx * dx + dy * dy + dz * dz
+
+    # conj(a) b - conj(c) d
+    pw = ((aw * bw - ax_ * bx - ay_ * by - az_ * bz)
+          - (cw * dw - cx_ * dx - cy_ * dy - cz_ * dz))
+    px = ((aw * bx + ax_ * bw + ay_ * bz - az_ * by)
+          - (cw * dx + cx_ * dw + cy_ * dz - cz_ * dy))
+    py = ((aw * by - ax_ * bz + ay_ * bw + az_ * bx)
+          - (cw * dy - cx_ * dz + cy_ * dw + cz_ * dx))
+    pz = ((aw * bz + ax_ * by - ay_ * bx + az_ * bw)
+          - (cw * dz + cx_ * dy - cy_ * dx + cz_ * dw))
+    # a conj(c) - b conj(d)
+    qw = ((aw * cw - ax * cx_ - ay * cy_ - az * cz_)
+          - (bw * dw - bx * dx_ - by * dy_ - bz * dz_))
+    qx = ((aw * cx_ + ax * cw + ay * cz_ - az * cy_)
+          - (bw * dx_ + bx * dw + by * dz_ - bz * dy_))
+    qy = ((aw * cy_ - ax * cz_ + ay * cw + az * cx_)
+          - (bw * dy_ - bx * dz_ + by * dw + bz * dx_))
+    qz = ((aw * cz_ + ax * cy_ - ay * cx_ + az * cw)
+          - (bw * dz_ + bx * dy_ - by * dx_ + bz * dw))
     entrywise = max(
-        abs(a.norm() - d.norm()),
-        abs(b.norm() - c.norm()),
-        abs(a.norm_sq() - c.norm_sq() - 1.0),
-        (a.conjugate() * b - c.conjugate() * d).norm(),
-        (a * c.conjugate() - b * d.conjugate()).norm(),
+        abs(math.sqrt(na) - math.sqrt(nd)),
+        abs(math.sqrt(nb) - math.sqrt(nc)),
+        abs(na - nc - 1.0),
+        math.sqrt(pw * pw + px * px + py * py + pz * pz),
+        math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz),
     )
-    # T* J T - J with J T == [[a, b], [-c, -d]] formed directly.
-    gram = (m.adjoint() @ Mat2H(a, b, -c, -d) - J).frobenius()
-    return max(entrywise, gram)
+    # T* (J T) - J with T* == [[a*, c*], [b*, d*]], J T == [[a, b], [-c, -d]]
+    gram = (_gram_entry_sq(aw, ax_, ay_, az_, aw, ax, ay, az,
+                           cw, cx_, cy_, cz_, ncw, ncx, ncy, ncz, 1.0)
+            + _gram_entry_sq(aw, ax_, ay_, az_, bw, bx, by, bz,
+                             cw, cx_, cy_, cz_, ndw, ndx, ndy, ndz, 0.0)
+            + _gram_entry_sq(bw, bx_, by_, bz_, aw, ax, ay, az,
+                             dw, dx_, dy_, dz_, ncw, ncx, ncy, ncz, 0.0)
+            + _gram_entry_sq(bw, bx_, by_, bz_, bw, bx, by, bz,
+                             dw, dx_, dy_, dz_, ndw, ndx, ndy, ndz, -1.0))
+    return max(entrywise, math.sqrt(gram))
+
+
+def _gram_entry_sq(a, b, c, d, e, f, g, h,
+                   a2, b2, c2, d2, e2, f2, g2, h2, j: float) -> float:
+    """|p r + q s - j|^2 for p, r, q, s given by components, as _mul_add,
+    Quaternion.__sub__ (j is the real part of the J entry) and norm_sq."""
+    w = ((a * e - b * f - c * g - d * h)
+         + (a2 * e2 - b2 * f2 - c2 * g2 - d2 * h2)) - j
+    x = ((a * f + b * e + c * h - d * g)
+         + (a2 * f2 + b2 * e2 + c2 * h2 - d2 * g2)) - 0.0
+    y = ((a * g - b * h + c * e + d * f)
+         + (a2 * g2 - b2 * h2 + c2 * e2 + d2 * f2)) - 0.0
+    z = ((a * h + b * g - c * f + d * e)
+         + (a2 * h2 + b2 * g2 - c2 * f2 + d2 * e2)) - 0.0
+    return w * w + x * x + y * y + z * z
 
 
 def is_member(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -63,6 +128,8 @@ class GroupElement:
 
     m: Mat2H
     membership_residual: float
+    _powers: tuple[Mat2H, Mat2H, Mat2H, Mat2H] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def a(self) -> Quaternion:
@@ -83,10 +150,20 @@ class GroupElement:
     def tr(self) -> float:
         return self.m.tr()
 
+    def powers(self) -> tuple[Mat2H, Mat2H, Mat2H, Mat2H]:
+        """T^2, T^3, T^4 and T^6 from four products, formed on first use."""
+        if self._powers is None:
+            m = self.m
+            m2 = m @ m
+            m3 = m2 @ m
+            m4 = m3 @ m
+            object.__setattr__(self, "_powers", (m2, m3, m4, m4 @ m2))
+        return self._powers
+
 
 def validate(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> GroupElement:
     residual = membership_residual(m)
-    if residual > tol:
+    if not residual <= tol:
         raise MembershipError(
             f"matrix is not in the group: residual {residual:.3e} > {tol:.3e}")
     return GroupElement(m, residual)
@@ -94,8 +171,8 @@ def validate(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> GroupElement:
 
 def _j_adjoint(m: Mat2H) -> Mat2H:
     """J M* J, written out entrywise; the inverse of M when M is a member."""
-    return Mat2H(m.a.conjugate(), -m.c.conjugate(),
-                 -m.b.conjugate(), m.d.conjugate())
+    return _from_quaternions(m.a.conjugate(), -m.c.conjugate(),
+                             -m.b.conjugate(), m.d.conjugate())
 
 
 def inverse_u11(t: GroupElement) -> GroupElement:
@@ -108,7 +185,7 @@ def conjugate(t: GroupElement, g: GroupElement,
               tol: float = MEMBERSHIP_TOL) -> GroupElement:
     product = g.m @ t.m @ _j_adjoint(g.m)
     residual = membership_residual(product)
-    if residual > 100.0 * tol:
+    if not residual <= 100.0 * tol:
         raise MembershipDriftError(
             f"conjugation drifted off the group: residual {residual:.3e}")
     return GroupElement(product, residual)
@@ -242,7 +319,7 @@ def random_element(seed, class_hint: str | None = None,
     for _ in range(max_attempts):
         mat = _candidate(rng, class_hint)
         residual = membership_residual(mat)
-        if residual > tol:
+        if not residual <= tol:
             continue
         element = GroupElement(mat, residual)
         if class_hint is None or classify(element).value == class_hint:

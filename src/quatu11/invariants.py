@@ -59,7 +59,7 @@ def delta_legacy(t: GroupElement) -> float:
 
 def delta_via_traces(t: GroupElement) -> float:
     tr1 = t.m.tr()
-    tr2 = (t.m @ t.m).tr()
+    tr2 = t.powers()[0].tr()
     return 0.25 * tr1 * tr1 - 0.5 * tr2 - 2.0
 
 
@@ -92,17 +92,9 @@ class InvariantReport:
         }
 
 
-def _power_chain(m: Mat2H) -> tuple[Mat2H, Mat2H, Mat2H, Mat2H]:
-    """T^2, T^3, T^4 and T^6 from four products."""
-    m2 = m @ m
-    m3 = m2 @ m
-    m4 = m3 @ m
-    return m2, m3, m4, m4 @ m2
-
-
 def report(t: GroupElement) -> InvariantReport:
     m = t.m
-    m2, m3, m4, m6 = _power_chain(m)
+    m2, m3, m4, m6 = t.powers()
     try:
         legacy = delta_legacy(t)
     except NotApplicableError:
@@ -139,21 +131,22 @@ def _relative_gap(lhs: float, rhs: float) -> float:
 
 def _check_delta_square(t: GroupElement, _g: GroupElement) -> float:
     tr1 = t.m.tr()
-    lhs = delta(mat_pow(t.m, 2))
+    lhs = delta(t.powers()[0])
     return _relative_gap(lhs, tr1 * tr1 * delta(t.m))
 
 
 def _check_delta_cube(t: GroupElement, _g: GroupElement) -> float:
+    m2, m3, _m4, _m6 = t.powers()
     tr1 = t.m.tr()
-    tr2 = mat_pow(t.m, 2).tr()
+    tr2 = m2.tr()
     factor = 0.5 * tr1 * tr1 + 0.5 * tr2 - 1.0
-    lhs = delta(mat_pow(t.m, 3))
+    lhs = delta(m3)
     return _relative_gap(lhs, factor * factor * delta(t.m))
 
 
 def _sixth_power_values(t: GroupElement):
     m = t.m
-    m2, m3, m4, m6 = _power_chain(m)
+    m2, m3, m4, m6 = t.powers()
     tr1, tr2, tr3, tr4 = m.tr(), m2.tr(), m3.tr(), m4.tr()
     d = delta(m)
     first = (0.5 * tr2 * tr2 + 0.5 * tr4 - 1.0) ** 2 * tr1 * tr1 * d

@@ -80,17 +80,17 @@ class Mat2H:
     def __add__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
             return NotImplemented
-        return Mat2H(self.a + other.a, self.b + other.b,
-                     self.c + other.c, self.d + other.d)
+        return _from_quaternions(self.a + other.a, self.b + other.b,
+                                 self.c + other.c, self.d + other.d)
 
     def __sub__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
             return NotImplemented
-        return Mat2H(self.a - other.a, self.b - other.b,
-                     self.c - other.c, self.d - other.d)
+        return _from_quaternions(self.a - other.a, self.b - other.b,
+                                 self.c - other.c, self.d - other.d)
 
     def __neg__(self) -> "Mat2H":
-        return Mat2H(-self.a, -self.b, -self.c, -self.d)
+        return _from_quaternions(-self.a, -self.b, -self.c, -self.d)
 
     def __matmul__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
@@ -107,15 +107,15 @@ class Mat2H:
             scalar = Quaternion.real(scalar)
         if not isinstance(scalar, Quaternion):
             return NotImplemented
-        return Mat2H(scalar * self.a, scalar * self.b,
-                     scalar * self.c, scalar * self.d)
+        return _from_quaternions(scalar * self.a, scalar * self.b,
+                                 scalar * self.c, scalar * self.d)
 
     def scale_left(self, scalar) -> "Mat2H":
         return _entry(scalar) * self
 
     def adjoint(self) -> "Mat2H":
-        return Mat2H(self.a.conjugate(), self.c.conjugate(),
-                     self.b.conjugate(), self.d.conjugate())
+        return _from_quaternions(self.a.conjugate(), self.c.conjugate(),
+                                 self.b.conjugate(), self.d.conjugate())
 
     def tr(self) -> float:
         """Real trace 2*(Re a + Re d); quaternionic traces are only defined

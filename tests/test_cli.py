@@ -184,6 +184,36 @@ def test_check_identities_flags_corruption():
     assert proc.returncode == 1
 
 
+HUGE = {"a": [1e200, 0, 0, 0], "b": [0] * 4, "c": [0] * 4, "d": [1, 0, 0, 0]}
+HUGE_DIAGONAL = {**HUGE, "d": [1e200, 0, 0, 0]}
+
+
+def test_check_identities_overflow_is_a_clean_error():
+    # delta's (a0 - d0) ** 2 overflows on the injected matrix
+    proc = run_cli("check-identities", "--seed", "1", "--trials", "2",
+                   "--matrix", "-", stdin=json.dumps(HUGE))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [HUGE, HUGE_DIAGONAL], ids=["inf", "nan"])
+def test_validate_names_a_non_finite_residual(doc):
+    proc = run_cli("validate", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: membership residual is not finite")
+
+
+def test_nan_residual_is_not_a_member():
+    # |a| - |d| is inf - inf here; NaN must not slip past `residual > tol`
+    proc = run_cli("classify", "-", stdin=json.dumps(HUGE_DIAGONAL))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: matrix is not in the group")
+
+
 def test_malformed_json_is_a_clean_error(example_file):
     proc = run_cli("validate", "-", stdin='{"a": [1, 0')
     assert proc.returncode == 1

@@ -1,0 +1,67 @@
+"""Byte-for-byte CLI output on committed matrices.
+
+`tests/golden/` holds one matrix per Moebius class (`quatu11 random --seed 1
+--class <Class>`) and the README worked example, plus `expected.json`: the
+exit code and exact stdout of validate, invariants, classify, spectrum
+--kind right, apply --point and diagonalize on each of them.  These
+subcommands use only Python float arithmetic, so the bytes do not depend on
+the platform, and a change that must keep every output bit is held to it
+here.  The expectations were written once by
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and should only be rewritten that way for a deliberate output change.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from quatu11.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN / "expected.json"
+
+MATRICES = ["SimpleElliptic", "CompoundElliptic", "SimpleParabolic",
+            "CompoundParabolic", "SimpleLoxodromic", "CompoundLoxodromic",
+            "WorkedExample"]
+COMMANDS = {
+    "validate": ["validate"],
+    "invariants": ["invariants"],
+    "classify": ["classify"],
+    "spectrum_right": ["spectrum", "--kind", "right"],
+    "apply": ["apply", "--point", "[0.1, -0.2, 0.3, 0.05]"],
+    "diagonalize": ["diagonalize"],
+}
+
+
+def _run(command: str, matrix: str) -> dict:
+    name, *flags = COMMANDS[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([name, str(GOLDEN / f"{matrix}.json"), *flags])
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+CASES = [(command, matrix) for matrix in MATRICES for command in COMMANDS]
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command,matrix", CASES,
+                         ids=[f"{c}-{m}" for c, m in CASES])
+def test_cli_output_is_byte_identical(expected, command, matrix):
+    assert _run(command, matrix) == expected[f"{command} {matrix}"]
+
+
+if __name__ == "__main__":
+    doc = {f"{c} {m}": _run(c, m) for c, m in CASES}
+    EXPECTED.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")

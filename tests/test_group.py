@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatu11 import (J, Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
                      inverse_u11, is_member, membership_residual,
@@ -78,6 +79,46 @@ def test_shortcuts_are_bit_identical_on_class_pool(class_pool):
         want = g.m @ t.m @ inverse_u11(g).m
         assert got == want
         assert repr(got) == repr(want)
+
+
+magnitudes = st.floats(min_value=1e-150, max_value=1e150)
+components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(min_value=-1000, max_value=1000),
+    magnitudes,
+    magnitudes.map(lambda v: -v),
+)
+matrices = st.builds(
+    Mat2H, *(st.builds(Quaternion, components, components, components,
+                       components) for _ in range(4)))
+
+
+@settings(deadline=None)
+@given(m=matrices)
+def test_float_residual_matches_quaternion_route(m):
+    # Squares of components near 1e150 overflow, so inf and nan are drawn too.
+    assert repr(membership_residual(m)) == repr(
+        _membership_residual_with_full_gram(m))
+
+
+def test_float_residual_matches_quaternion_route_on_members():
+    # Off the group the Gram term is the largest by far; on members every
+    # term is at roundoff level, and a conj(c) - b conj(d) wins about one
+    # time in twenty, so each term's bits are exercised here.
+    for hint in [None] + [c.value for c in MoebiusClass]:
+        for k in range(40):
+            m = random_element([71, k], hint).m
+            assert repr(membership_residual(m)) == repr(
+                _membership_residual_with_full_gram(m))
+
+
+def test_nan_residual_fails_validation():
+    huge = Quaternion(1e200)
+    m = Mat2H(huge, Quaternion(), Quaternion(), huge)
+    assert math.isnan(membership_residual(m))
+    assert not is_member(m)
+    with pytest.raises(MembershipError):
+        validate(m)
 
 
 def test_conjugation_by_identity_and_inverse(example, generic_pool):

@@ -57,6 +57,34 @@ def test_mat_pow_small_cases(example):
         mat_pow(m, -1)
 
 
+def test_powers_are_formed_once_and_match_mat_pow(class_pool):
+    for elements in class_pool.values():
+        t = validate(elements[0].m)
+        powers = t.powers()
+        assert t.powers() is powers
+        for got, n in zip(powers[:3], (2, 3, 4)):
+            assert got == mat_pow(t.m, n)
+        assert powers[3] == powers[2] @ powers[0]
+
+
+def test_identity_checks_form_each_product_once(monkeypatch):
+    t = random_element([61, 0])
+    g = random_element([61, 1])
+    products = 0
+    matmul = Mat2H.__matmul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(Mat2H, "__matmul__", counted)
+    for check in IDENTITY_CHECKS:
+        check.fn(t, g)
+    # four for T^2, T^3, T^4, T^6 and two for each of the two conjugations
+    assert products == 8
+
+
 def test_report_fields(example):
     rep = report(example)
     assert rep.tr1 == 2.0
