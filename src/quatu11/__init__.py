@@ -12,7 +12,7 @@ from .group import (GroupElement, J, conjugate, inverse_u11, is_member,
 from .invariants import (InvariantReport, delta, delta_legacy,
                          delta_via_traces, mat_pow, report)
 from .mat2h import Mat2H
-from .moebius import MoebiusClass, apply, classify, is_elliptic
+from .moebius import MoebiusClass, apply, classify, is_elliptic, stratum
 from .quaternion import (ONE, QI, QJ, QK, ZERO, Quaternion, is_similar,
                          solve_similarity, standard_rep)
 from .spectra import (LeftSpectrumDescription, RightSpectrum, SpectralSphere,
@@ -34,7 +34,7 @@ __all__ = [
     "LeftSpectrumDescription", "right_spectrum", "right_spectrum_casewise",
     "s_spectrum", "verify_s_point", "right_spectrum_oracle",
     "left_eigenvalues",
-    "MoebiusClass", "apply", "classify", "is_elliptic",
+    "MoebiusClass", "apply", "stratum", "classify", "is_elliptic",
     "DiagonalizationCase", "DiagonalizationResult", "diagonalize_elliptic",
     "case2_transform", "case3_transform",
     "QuatU11Error",

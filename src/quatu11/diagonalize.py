@@ -4,7 +4,7 @@ Every elliptic T is conjugate, inside the group, to diag(s, s') with s, s'
 on the unit right-spectrum spheres.  Three constructions cover the elliptic
 strata:
 
-  Case 1: b == conj(c) == 0.  T is already diagonal; X = I.
+  Case 1: b, c within eps of 0; X = I, D = diag(a, d).
   Case 2: b == conj(c) != 0, d0^2 < 1.  A unit rotation absorbs the phase of
           c, a similarity solve rotates d onto its class representative in
           the i-slice, and an explicit J-unitary Z with real diagonal and
@@ -24,25 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import CaseMismatchError, ClaimViolationError, NotEllipticError
 from .group import GroupElement, _j_adjoint, membership_residual, validate
 from .invariants import delta
 from .mat2h import Mat2H
-from .moebius import EPS_CLASS, is_elliptic
+from .moebius import EPS_CLASS, DiagonalizationCase, MoebiusClass, stratum
 from .quaternion import QI, Quaternion, solve_similarity
 
 CLAIM_TOL = 1e-6
 
 __all__ = ["DiagonalizationCase", "DiagonalizationResult",
            "diagonalize_elliptic", "case2_transform", "case3_transform"]
-
-
-class DiagonalizationCase(Enum):
-    CASE1 = "Case1"
-    CASE2 = "Case2"
-    CASE3 = "Case3"
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,17 +65,17 @@ def _conjugation_residual(x: GroupElement, t: GroupElement, d: Mat2H) -> float:
 def diagonalize_elliptic(t: GroupElement,
                          eps_class: float = EPS_CLASS) -> DiagonalizationResult:
     """Conjugator X and diagonal D with X T X^-1 == D, for elliptic T."""
-    if not is_elliptic(t, eps_class):
+    case, cls = stratum(t, eps_class)
+    if cls.coarse != "elliptic":
         raise NotEllipticError("only elliptic elements diagonalize over the "
                                "unit spectrum")
-    m = t.m
-    eps = eps_class * (1.0 + m.frobenius())
-    if m.b.norm() + m.c.norm() <= eps:
+    if case is DiagonalizationCase.CASE1:
         x = validate(Mat2H.identity())
-        return DiagonalizationResult(x, m, _conjugation_residual(x, t, m),
+        d = Mat2H.diag(t.m.a, t.m.d)
+        return DiagonalizationResult(x, d, _conjugation_residual(x, t, d),
                                      x.membership_residual,
                                      DiagonalizationCase.CASE1)
-    if (m.b - m.c.conjugate()).norm() <= eps:
+    if case is DiagonalizationCase.CASE2:
         return case2_transform(t, eps_class)
     return case3_transform(t, eps_class)
 
@@ -90,13 +83,11 @@ def diagonalize_elliptic(t: GroupElement,
 def case2_transform(t: GroupElement,
                     eps_class: float = EPS_CLASS) -> DiagonalizationResult:
     """Diagonalize T with b == conj(c) != 0 and d0^2 < 1."""
+    if stratum(t, eps_class) != (DiagonalizationCase.CASE2,
+                                 MoebiusClass.SIMPLE_ELLIPTIC):
+        raise CaseMismatchError("requires b == conj(c) != 0 and d0^2 < 1")
     m = t.m
-    eps = eps_class * (1.0 + m.frobenius())
-    if m.b.norm() <= eps or (m.b - m.c.conjugate()).norm() > eps:
-        raise CaseMismatchError("requires b == conj(c) != 0")
     d0 = m.d.w
-    if d0 * d0 - 1.0 >= -eps_class:
-        raise CaseMismatchError("requires d0^2 < 1 (holds iff Im d != 0 here)")
 
     c_mod = m.c.norm()
     phase = m.c * (1.0 / c_mod)
@@ -123,15 +114,12 @@ def case2_transform(t: GroupElement,
 def case3_transform(t: GroupElement,
                     eps_class: float = EPS_CLASS) -> DiagonalizationResult:
     """Diagonalize T with b != conj(c) != 0 and delta < 0."""
+    if stratum(t, eps_class) != (DiagonalizationCase.CASE3,
+                                 MoebiusClass.COMPOUND_ELLIPTIC):
+        raise CaseMismatchError("requires b != conj(c) != 0 and delta < 0")
     m = t.m
-    scale = 1.0 + m.frobenius()
-    eps = eps_class * scale
     bc = m.b - m.c.conjugate()
-    if m.c.norm() <= eps or bc.norm() <= eps:
-        raise CaseMismatchError("requires b != conj(c) != 0")
     dlt = delta(m)
-    if dlt >= -eps_class:
-        raise CaseMismatchError("requires delta < 0")
 
     a0, d0 = m.a.w, m.d.w
     split = math.sqrt(-dlt)

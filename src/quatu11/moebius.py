@@ -1,8 +1,9 @@
 """Moebius action on the quaternionic unit ball and its six-way classification.
 
 A group element T = [[a, b], [c, d]] acts by g(z) = (a z + b)(c z + d)^-1,
-preserving the open unit ball; the kernel of the action is {I, -I}.  The
-conjugation class of the action is decided by the off-diagonal pattern
+preserving the open unit ball; the kernel of the action is {I, -I}.
+`stratum` is the one place that decides the conjugation class, and with it
+the diagonalization case (the row below), from the off-diagonal pattern
 together with d0 = Re d and delta:
 
     b == conj(c) == 0:  simple elliptic if a0 == d0, else compound elliptic
@@ -25,8 +26,14 @@ EPS_CLASS = 1e-10
 POLE_TOL = 1e-14
 BALL_SLACK = 1e-12
 
-__all__ = ["MoebiusClass", "apply", "classify", "is_elliptic", "evidence",
-           "EPS_CLASS"]
+__all__ = ["DiagonalizationCase", "MoebiusClass", "apply", "stratum",
+           "classify", "is_elliptic", "evidence", "EPS_CLASS"]
+
+
+class DiagonalizationCase(Enum):
+    CASE1 = "Case1"
+    CASE2 = "Case2"
+    CASE3 = "Case3"
 
 
 class MoebiusClass(Enum):
@@ -61,36 +68,41 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
     return image
 
 
-def classify(t: GroupElement, eps_class: float = EPS_CLASS) -> MoebiusClass:
+def stratum(t: GroupElement, eps_class: float = EPS_CLASS
+            ) -> tuple[DiagonalizationCase, MoebiusClass]:
+    """The diagonalization case (row of the table above) and class of T."""
     m = t.m
     eps = eps_class * (1.0 + m.frobenius())
     b_zero = m.b.norm() <= eps
     c_zero = m.c.norm() <= eps
     if b_zero and c_zero:
         if abs(m.a.w - m.d.w) <= eps_class:
-            return MoebiusClass.SIMPLE_ELLIPTIC
-        return MoebiusClass.COMPOUND_ELLIPTIC
+            return DiagonalizationCase.CASE1, MoebiusClass.SIMPLE_ELLIPTIC
+        return DiagonalizationCase.CASE1, MoebiusClass.COMPOUND_ELLIPTIC
     if b_zero or c_zero:
         raise MembershipError(
             "exactly one off-diagonal entry is zero; |b| == |c| fails")
     if (m.b - m.c.conjugate()).norm() <= eps:
         gap = m.d.w * m.d.w - 1.0
         if abs(gap) <= eps_class:
-            return MoebiusClass.SIMPLE_PARABOLIC
+            return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_PARABOLIC
         if gap < 0.0:
-            return MoebiusClass.SIMPLE_ELLIPTIC
-        return MoebiusClass.SIMPLE_LOXODROMIC
+            return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_ELLIPTIC
+        return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_LOXODROMIC
     dlt = delta(m)
     if abs(dlt) <= eps_class:
-        return MoebiusClass.COMPOUND_PARABOLIC
+        return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_PARABOLIC
     if dlt < 0.0:
-        return MoebiusClass.COMPOUND_ELLIPTIC
-    return MoebiusClass.COMPOUND_LOXODROMIC
+        return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_ELLIPTIC
+    return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_LOXODROMIC
+
+
+def classify(t: GroupElement, eps_class: float = EPS_CLASS) -> MoebiusClass:
+    return stratum(t, eps_class)[1]
 
 
 def is_elliptic(t: GroupElement, eps_class: float = EPS_CLASS) -> bool:
-    return classify(t, eps_class) in (MoebiusClass.SIMPLE_ELLIPTIC,
-                                      MoebiusClass.COMPOUND_ELLIPTIC)
+    return classify(t, eps_class).coarse == "elliptic"
 
 
 def evidence(t: GroupElement) -> dict:

@@ -21,7 +21,7 @@ from .errors import NegativeRadicandError, NoRootFoundError
 from .group import GroupElement, _unit_vector
 from .invariants import delta
 from .mat2h import Mat2H
-from .moebius import EPS_CLASS
+from .moebius import EPS_CLASS, DiagonalizationCase, MoebiusClass, stratum
 from .quaternion import Quaternion
 
 SPECTRUM_TOL = 1e-7
@@ -157,26 +157,24 @@ def right_spectrum_casewise(t: GroupElement,
     off-diagonal cases work through d0, the generic case through the real
     part of conj(c)^-1 b conj(d) + d rather than a0 + d0.
     """
+    case, cls = stratum(t, eps_class)
     m = t.m
-    eps = eps_class * (1.0 + m.frobenius())
-    b_zero = m.b.norm() <= eps and m.c.norm() <= eps
-    if b_zero:
+    if case is DiagonalizationCase.CASE1:
         return RightSpectrum.from_pairs([(m.a.w, 1.0), (m.d.w, 1.0)])
-    if (m.b - m.c.conjugate()).norm() <= eps:
+    if case is DiagonalizationCase.CASE2:
         d0 = m.d.w
-        gap = d0 * d0 - 1.0
-        if abs(gap) <= eps_class:
+        if cls is MoebiusClass.SIMPLE_PARABOLIC:
             return RightSpectrum.from_pairs([(d0, abs(d0))])
-        if gap > 0.0:
-            root = math.sqrt(gap)
+        if cls is MoebiusClass.SIMPLE_LOXODROMIC:
+            root = math.sqrt(d0 * d0 - 1.0)
             return RightSpectrum.from_pairs(
                 [(d0 + root, abs(d0 + root)), (d0 - root, abs(d0 - root))])
         return RightSpectrum.from_pairs([(d0, 1.0)])
     trace_half = (m.c.conjugate().inverse() * m.b * m.d.conjugate() + m.d).w
-    dlt = delta(m)
-    if abs(dlt) <= eps_class:
+    if cls is MoebiusClass.COMPOUND_PARABOLIC:
         return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
-    if dlt < 0.0:
+    dlt = delta(m)
+    if cls is MoebiusClass.COMPOUND_ELLIPTIC:
         root = math.sqrt(-dlt)
         return RightSpectrum.from_pairs(
             [(0.5 * (trace_half + root), 1.0), (0.5 * (trace_half - root), 1.0)])
@@ -325,10 +323,10 @@ def left_eigenvalues(m: Mat2H, residual_tol: float = 1e-9,
     when no candidate survives those filters the computation is reported as
     failed rather than silently empty.
     """
-    scale = 1.0 + m.frobenius()
-    if m.b.norm() <= 1e-10 * scale:
+    eps = EPS_CLASS * (1.0 + m.frobenius())
+    if m.b.norm() <= eps:
         points = [m.a]
-        if (m.a - m.d).norm() > 1e-10 * scale:
+        if (m.a - m.d).norm() > eps:
             points.append(m.d)
         points.sort(key=lambda p: (p.w, p.x, p.y, p.z))
         return LeftSpectrumDescription(tuple(points), ())

@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from quatu11 import (DiagonalizationCase, Mat2H, QI, QJ, Quaternion,
-                     case2_transform, case3_transform, diagonalize_elliptic,
-                     random_element, right_spectrum, validate)
-from quatu11.errors import CaseMismatchError, NotEllipticError
+                     case2_transform, case3_transform, classify,
+                     diagonalize_elliptic, random_element, right_spectrum,
+                     right_spectrum_casewise, stratum, validate)
+from quatu11.errors import (CaseMismatchError, ClaimViolationError,
+                            NotEllipticError)
+from quatu11.moebius import EPS_CLASS
 
 R2 = math.sqrt(2)
 
@@ -96,3 +100,51 @@ def test_result_serializes(example):
     assert set(doc) == {"x", "d", "residual_conjugation", "residual_membership",
                         "case", "claim_residual"}
     assert doc["case"] == "Case3"
+
+
+def _near_diagonal_band(count=300, seed=95):
+    """D1 B(t) D2 with sinh t log-uniform in [1e-10.5, 1e-8], so |b| and |c|
+    straddle the stratum threshold EPS_CLASS * (1 + ||T||_F)."""
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        v = rng.standard_normal(4)
+        return Quaternion(*(v / np.linalg.norm(v)))
+
+    band = []
+    for _ in range(count):
+        sh = 10.0 ** rng.uniform(-10.5, -8.0)
+        ch = math.sqrt(1.0 + sh * sh)
+        boost = Mat2H(Quaternion(ch), Quaternion(sh), Quaternion(sh),
+                      Quaternion(ch))
+        band.append(validate(Mat2H.diag(unit(), unit()) @ boost
+                             @ Mat2H.diag(unit(), unit())))
+    return band
+
+
+def test_stratum_decision_agrees_across_functions(class_pool):
+    elements = [t for pool in class_pool.values() for t in pool]
+    elements += _near_diagonal_band()
+    case1_count = 0
+    for t in elements:
+        case, cls = stratum(t)
+        assert classify(t) is cls
+        right_spectrum_casewise(t)
+        if cls.coarse != "elliptic":
+            with pytest.raises(NotEllipticError):
+                diagonalize_elliptic(t)
+            continue
+        try:
+            result = diagonalize_elliptic(t)
+        except ClaimViolationError:
+            # The Case-3 construction loses its claims when b is small.
+            assert case is DiagonalizationCase.CASE3
+            continue
+        assert result.case_used is case
+        if case is DiagonalizationCase.CASE1:
+            case1_count += 1
+            assert result.d.b.norm() == 0.0 and result.d.c.norm() == 0.0
+            # X = I leaves sqrt(|b|^2 + |c|^2) <= sqrt(2) eps
+            eps = EPS_CLASS * (1.0 + t.m.frobenius())
+            assert result.residual_conjugation <= 1.5 * eps
+    assert case1_count > 0

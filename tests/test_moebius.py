@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
-                     is_elliptic, random_element, validate)
+                     diagonalize_elliptic, is_elliptic, random_element,
+                     right_spectrum_casewise, validate)
 from quatu11.errors import MembershipError
 from quatu11.group import GroupElement
 from quatu11.moebius import apply, classify, evidence
@@ -52,6 +53,10 @@ def test_mismatched_offdiagonal_is_rejected():
     bad = GroupElement(Mat2H(Quaternion(1.0), QI, Quaternion(), Quaternion(1.0)), 0.0)
     with pytest.raises(MembershipError):
         classify(bad)
+    with pytest.raises(MembershipError):
+        right_spectrum_casewise(bad)
+    with pytest.raises(MembershipError):
+        diagonalize_elliptic(bad)
 
 
 def test_coarse_names():
