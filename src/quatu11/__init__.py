@@ -9,16 +9,17 @@ from .diagonalize import (DiagonalizationCase, DiagonalizationResult,
 from .errors import QuatU11Error
 from .group import (GroupElement, J, conjugate, inverse_u11, is_member,
                     membership_residual, random_element, validate)
-from .invariants import (InvariantReport, delta, delta_legacy,
-                         delta_via_traces, mat_pow, report)
+from .invariants import (InvariantReport, delta_legacy, delta_via_traces,
+                         mat_pow, report)
 from .mat2h import Mat2H
-from .moebius import MoebiusClass, apply, classify, is_elliptic, stratum
+from .moebius import (MoebiusClass, apply, classify, delta, is_elliptic,
+                      stratum)
 from .quaternion import (ONE, QI, QJ, QK, ZERO, Quaternion, is_similar,
                          solve_similarity, standard_rep)
 from .spectra import (LeftSpectrumDescription, RightSpectrum, SpectralSphere,
                       SphereFamily, left_eigenvalues, right_spectrum,
                       right_spectrum_casewise, right_spectrum_oracle,
-                      s_spectrum, verify_s_point)
+                      verify_s_point)
 
 __version__ = "0.1.0"
 
@@ -32,7 +33,7 @@ __all__ = [
     "InvariantReport", "report",
     "SpectralSphere", "RightSpectrum", "SphereFamily",
     "LeftSpectrumDescription", "right_spectrum", "right_spectrum_casewise",
-    "s_spectrum", "verify_s_point", "right_spectrum_oracle",
+    "verify_s_point", "right_spectrum_oracle",
     "left_eigenvalues",
     "MoebiusClass", "apply", "stratum", "classify", "is_elliptic",
     "DiagonalizationCase", "DiagonalizationResult", "diagonalize_elliptic",

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from .errors import CaseMismatchError, ClaimViolationError, NotEllipticError
 from .group import GroupElement, _j_adjoint, membership_residual, validate
-from .invariants import delta
 from .mat2h import Mat2H
-from .moebius import EPS_CLASS, DiagonalizationCase, MoebiusClass, stratum
+from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
+                      stratum)
 from .quaternion import QI, Quaternion, solve_similarity
 
 CLAIM_TOL = 1e-6

@@ -6,8 +6,8 @@ J = diag(1, -1), equivalently when the entry conditions
     |a| == |d|,  |b| == |c|,  |a|^2 - |c|^2 == 1,
     conj(a) b == conj(c) d,   a conj(c) == b conj(d)
 
-all hold.  Both formulations are checked; the reported residual is the worst
-offender across them.
+all hold.  The reported residual is the worst of ||T* J T - J||_F and the
+three entry conditions that are not themselves entries of T* J T - J.
 """
 
 from __future__ import annotations
@@ -40,13 +40,17 @@ __all__ = [
 
 
 def membership_residual(m: Mat2H) -> float:
-    """Worst of the five entry conditions and ||T* J T - J||_F.
+    """Worst of |a| - |d|, |b| - |c|, |a conj(c) - b conj(d)| and
+    ||T* J T - J||_F; NaN if any of them is NaN.
 
-    Plain float arithmetic on the 16 components, in the operation order of
-    the Quaternion route: conjugates as negated components, the products as
-    Quaternion.__mul__ and _mul_add form them, J subtracted entry by entry
-    and the Frobenius sum taken over a, b, c, d.  The result therefore has
-    the same bits as that route while building no Quaternion or Mat2H.
+    The other two entry conditions need no term of their own: |a|^2 - |c|^2
+    - 1 and conj(a) b - conj(c) d are, bit for bit, the real part of the
+    (0,0) entry and the (0,1) entry of T* J T - J.  Plain float arithmetic
+    on the 16 components, in the operation order of the Quaternion route:
+    conjugates as negated components, the products as Quaternion.__mul__
+    and _mul_add form them, J subtracted entry by entry and the Frobenius
+    sum taken over a, b, c, d.  The result therefore has the same bits as
+    that route while building no Quaternion or Mat2H.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     aw, ax, ay, az = a.w, a.x, a.y, a.z
@@ -59,48 +63,30 @@ def membership_residual(m: Mat2H) -> float:
     cx_, cy_, cz_ = -cx, -cy, -cz
     dx_, dy_, dz_ = -dx, -dy, -dz
     ncw, ncx, ncy, ncz = -cw, -cx, -cy, -cz
-    ndw, ndx, ndy, ndz = -dw, -dx, -dy, -dz
+    ndw = -dw
 
     na = aw * aw + ax * ax + ay * ay + az * az
     nb = bw * bw + bx * bx + by * by + bz * bz
     nc = cw * cw + cx * cx + cy * cy + cz * cz
     nd = dw * dw + dx * dx + dy * dy + dz * dz
-
-    # conj(a) b - conj(c) d
-    pw = ((aw * bw - ax_ * bx - ay_ * by - az_ * bz)
-          - (cw * dw - cx_ * dx - cy_ * dy - cz_ * dz))
-    px = ((aw * bx + ax_ * bw + ay_ * bz - az_ * by)
-          - (cw * dx + cx_ * dw + cy_ * dz - cz_ * dy))
-    py = ((aw * by - ax_ * bz + ay_ * bw + az_ * bx)
-          - (cw * dy - cx_ * dz + cy_ * dw + cz_ * dx))
-    pz = ((aw * bz + ax_ * by - ay_ * bx + az_ * bw)
-          - (cw * dz + cx_ * dy - cy_ * dx + cz_ * dw))
-    # a conj(c) - b conj(d)
-    qw = ((aw * cw - ax * cx_ - ay * cy_ - az * cz_)
-          - (bw * dw - bx * dx_ - by * dy_ - bz * dz_))
-    qx = ((aw * cx_ + ax * cw + ay * cz_ - az * cy_)
-          - (bw * dx_ + bx * dw + by * dz_ - bz * dy_))
-    qy = ((aw * cy_ - ax * cz_ + ay * cw + az * cx_)
-          - (bw * dy_ - bx * dz_ + by * dw + bz * dx_))
-    qz = ((aw * cz_ + ax * cy_ - ay * cx_ + az * cw)
-          - (bw * dz_ + bx * dy_ - by * dx_ + bz * dw))
-    entrywise = max(
-        abs(math.sqrt(na) - math.sqrt(nd)),
-        abs(math.sqrt(nb) - math.sqrt(nc)),
-        abs(na - nc - 1.0),
-        math.sqrt(pw * pw + px * px + py * py + pz * pz),
-        math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz),
-    )
+    norm_a_d = abs(math.sqrt(na) - math.sqrt(nd))
+    norm_b_c = abs(math.sqrt(nb) - math.sqrt(nc))
+    # a conj(c) + b (-conj(d))
+    cross = _gram_entry_sq(aw, ax, ay, az, cw, cx_, cy_, cz_,
+                           bw, bx, by, bz, ndw, dx, dy, dz, 0.0)
     # T* (J T) - J with T* == [[a*, c*], [b*, d*]], J T == [[a, b], [-c, -d]]
     gram = (_gram_entry_sq(aw, ax_, ay_, az_, aw, ax, ay, az,
                            cw, cx_, cy_, cz_, ncw, ncx, ncy, ncz, 1.0)
             + _gram_entry_sq(aw, ax_, ay_, az_, bw, bx, by, bz,
-                             cw, cx_, cy_, cz_, ndw, ndx, ndy, ndz, 0.0)
+                             cw, cx_, cy_, cz_, ndw, dx_, dy_, dz_, 0.0)
             + _gram_entry_sq(bw, bx_, by_, bz_, aw, ax, ay, az,
                              dw, dx_, dy_, dz_, ncw, ncx, ncy, ncz, 0.0)
             + _gram_entry_sq(bw, bx_, by_, bz_, bw, bx, by, bz,
-                             dw, dx_, dy_, dz_, ndw, ndx, ndy, ndz, -1.0))
-    return max(entrywise, math.sqrt(gram))
+                             dw, dx_, dy_, dz_, ndw, dx_, dy_, dz_, -1.0))
+    # Every term is >= 0 or NaN, so the sum is NaN exactly when a term is.
+    if math.isnan(norm_a_d + norm_b_c + cross + gram):
+        return math.nan
+    return max(norm_a_d, norm_b_c, math.sqrt(cross), math.sqrt(gram))
 
 
 def _gram_entry_sq(a, b, c, d, e, f, g, h,

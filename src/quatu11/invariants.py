@@ -3,9 +3,10 @@
 Two quantities separate the conjugacy behaviour of T = [[a, b], [c, d]]:
 the real trace Tr(T) = 2(Re a + Re d) and
 
-    delta(T) = |b - conj(c)|^2 - (Re a - Re d)^2.
+    delta(T) = |b - conj(c)|^2 - (Re a - Re d)^2,
 
-delta also has a closed form in the traces of powers,
+defined in `moebius` beside the stratum decision that reads it.  delta
+also has a closed form in the traces of powers,
 
     delta(T) = Tr(T)^2 / 4 - Tr(T^2) / 2 - 2,
 
@@ -20,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NotApplicableError
+from .errors import MembershipError, NotApplicableError
 from .group import GroupElement, conjugate
 from .mat2h import Mat2H
+from .moebius import DiagonalizationCase, delta, stratum
 
 __all__ = [
-    "delta",
     "delta_legacy",
     "delta_via_traces",
     "mat_pow",
@@ -37,21 +38,19 @@ __all__ = [
 ]
 
 
-def delta(m: Mat2H) -> float:
-    return (m.b - m.c.conjugate()).norm_sq() - (m.a.w - m.d.w) ** 2
-
-
 def delta_legacy(t: GroupElement) -> float:
     """Entry formula |Im(conj(c)^-1 b conj(d) + d)|^2 - |conj(c)^-1 b - 1|^2.
 
-    Defined only off the b == conj(c) locus; agrees with delta there.
+    Defined only where `stratum` finds b != conj(c) != 0 (Case 3); agrees
+    with delta there.
     """
+    try:
+        case = stratum(t)[0]
+    except MembershipError:  # exactly one of b, c is zero
+        case = None
+    if case is not DiagonalizationCase.CASE3:
+        raise NotApplicableError("legacy delta needs b != conj(c) != 0")
     m = t.m
-    scale = 1.0 + m.frobenius()
-    if m.c.norm() <= 1e-10 * scale:
-        raise NotApplicableError("legacy delta needs c != 0")
-    if (m.b - m.c.conjugate()).norm() <= 1e-10 * scale:
-        raise NotApplicableError("legacy delta needs b != conj(c)")
     lead = m.c.conjugate().inverse() * m.b
     inner = lead * m.d.conjugate() + m.d
     return inner.imag().norm_sq() - (lead - 1.0).norm_sq()

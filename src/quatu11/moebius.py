@@ -4,7 +4,7 @@ A group element T = [[a, b], [c, d]] acts by g(z) = (a z + b)(c z + d)^-1,
 preserving the open unit ball; the kernel of the action is {I, -I}.
 `stratum` is the one place that decides the conjugation class, and with it
 the diagonalization case (the row below), from the off-diagonal pattern
-together with d0 = Re d and delta:
+together with d0 = Re d and delta(T) = |b - conj(c)|^2 - (Re a - Re d)^2:
 
     b == conj(c) == 0:  simple elliptic if a0 == d0, else compound elliptic
     b == conj(c) != 0:  d0^2 < 1 / == 1 / > 1 gives simple
@@ -19,14 +19,14 @@ from enum import Enum
 
 from .errors import BallViolationError, MembershipError, PoleError
 from .group import GroupElement
-from .invariants import delta
+from .mat2h import Mat2H
 from .quaternion import Quaternion
 
 EPS_CLASS = 1e-10
 POLE_TOL = 1e-14
 BALL_SLACK = 1e-12
 
-__all__ = ["DiagonalizationCase", "MoebiusClass", "apply", "stratum",
+__all__ = ["DiagonalizationCase", "MoebiusClass", "apply", "delta", "stratum",
            "classify", "is_elliptic", "evidence", "EPS_CLASS"]
 
 
@@ -66,6 +66,10 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
         raise BallViolationError(
             f"image modulus {image.norm():.17g} escaped the unit ball")
     return image
+
+
+def delta(m: Mat2H) -> float:
+    return (m.b - m.c.conjugate()).norm_sq() - (m.a.w - m.d.w) ** 2
 
 
 def stratum(t: GroupElement, eps_class: float = EPS_CLASS

@@ -3,11 +3,11 @@
 Right eigenvalues come in similarity classes, each a 2-sphere determined by
 a real part and a modulus; for group elements at most two such spheres
 occur and they follow from the trace and delta alone.  The S-spectrum
-coincides with the right spectrum.  Left eigenvalues are not similarity
-invariant and are computed entrywise from the quadratic q^2 + B q + C == 0
-with B = b^-1 (a - d), C = -b^-1 c, solved in closed form through one real
-resolvent cubic (L. Huang, W. So, "Quadratic formulas for quaternions",
-Appl. Math. Lett. 15, 2002).
+coincides with the right spectrum, so `right_spectrum` serves for both.
+Left eigenvalues are not similarity invariant and are computed entrywise
+from the quadratic q^2 + B q + C == 0 with B = b^-1 (a - d), C = -b^-1 c,
+solved in closed form through one real resolvent cubic (L. Huang, W. So,
+"Quadratic formulas for quaternions", Appl. Math. Lett. 15, 2002).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import NegativeRadicandError, NoRootFoundError
 from .group import GroupElement, _unit_vector
-from .invariants import delta
 from .mat2h import Mat2H
-from .moebius import EPS_CLASS, DiagonalizationCase, MoebiusClass, stratum
+from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
+                      stratum)
 from .quaternion import Quaternion
 
 SPECTRUM_TOL = 1e-7
@@ -29,6 +29,8 @@ COLLAPSE_TOL = 1e-10
 # A root discriminant at most this fraction of the size of its terms is
 # roundoff on an exact double root, and is taken as zero.
 DOUBLE_ROOT_TOL = 1e-13
+# A left-eigenvalue candidate must solve its quadratic to this residual.
+QUADRATIC_RESIDUAL_TOL = 1e-9
 
 __all__ = [
     "SpectralSphere",
@@ -37,7 +39,6 @@ __all__ = [
     "LeftSpectrumDescription",
     "right_spectrum",
     "right_spectrum_casewise",
-    "s_spectrum",
     "verify_s_point",
     "right_spectrum_oracle",
     "left_eigenvalues",
@@ -181,11 +182,6 @@ def right_spectrum_casewise(t: GroupElement,
     return RightSpectrum.from_pairs(_sphere_pairs(trace_half, dlt))
 
 
-def s_spectrum(t: GroupElement) -> RightSpectrum:
-    """The S-spectrum; for quaternionic matrices it equals the right spectrum."""
-    return right_spectrum(t)
-
-
 def verify_s_point(m: Mat2H, s: Quaternion, tol: float = SPECTRUM_TOL) -> bool:
     """Whether s solves the S-spectrum equation: T^2 - 2 Re(s) T + |s|^2 I
     is singular."""
@@ -312,8 +308,7 @@ def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
             for t, n in pairs if t != 0.0 or nb2 > 0.0]
 
 
-def left_eigenvalues(m: Mat2H, residual_tol: float = 1e-9,
-                     singular_tol: float = SPECTRUM_TOL) -> LeftSpectrumDescription:
+def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     """All left eigenvalues of M, as isolated points and/or a sphere family.
 
     With b != 0, lambda = a + b q for the roots q of q^2 + B q + C == 0.
@@ -350,10 +345,10 @@ def left_eigenvalues(m: Mat2H, residual_tol: float = 1e-9,
 
     seen: list[Quaternion] = []
     for q in candidates:
-        if _quad_residual(q, B, C) > residual_tol:
+        if _quad_residual(q, B, C) > QUADRATIC_RESIDUAL_TOL:
             continue
         lam = m.a + m.b * q
-        if not (m - Mat2H.diag(lam, lam)).is_singular(singular_tol):
+        if not (m - Mat2H.diag(lam, lam)).is_singular(SPECTRUM_TOL):
             continue
         if any((lam - known).norm() <= 1e-8 for known in seen):
             continue

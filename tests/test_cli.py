@@ -1,13 +1,18 @@
 """End-to-end command line checks: output shape, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from quatu11.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -22,6 +27,22 @@ EXAMPLE_DOC = {
 
 
 def run_cli(*args, stdin=None):
+    """Call the CLI's main() in this process with stdin, stdout and stderr
+    swapped for strings; SystemExit (argparse) becomes the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin or "")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_process(*args, stdin=None):
+    """Run `python -m quatu11.cli` as a real process, for the exit codes and
+    stderr that the interpreter itself produces."""
     # Put this checkout's src/ first so the child imports the code under test.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -38,7 +59,7 @@ def example_file(tmp_path):
 
 
 def test_validate_member(example_file):
-    proc = run_cli("validate", example_file)
+    proc = run_process("validate", example_file)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["member"] is True
@@ -150,7 +171,7 @@ def test_diagonalize_output(example_file):
 
 def test_diagonalize_loxodromic_exits_2():
     sample = run_cli("random", "--seed", "9", "--class", "SimpleLoxodromic")
-    proc = run_cli("diagonalize", "-", stdin=sample.stdout)
+    proc = run_process("diagonalize", "-", stdin=sample.stdout)
     assert proc.returncode == 2
 
 
@@ -190,8 +211,8 @@ HUGE_DIAGONAL = {**HUGE, "d": [1e200, 0, 0, 0]}
 
 def test_check_identities_overflow_is_a_clean_error():
     # delta's (a0 - d0) ** 2 overflows on the injected matrix
-    proc = run_cli("check-identities", "--seed", "1", "--trials", "2",
-                   "--matrix", "-", stdin=json.dumps(HUGE))
+    proc = run_process("check-identities", "--seed", "1", "--trials", "2",
+                       "--matrix", "-", stdin=json.dumps(HUGE))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from quatu11 import (DiagonalizationCase, Mat2H, QI, QJ, Quaternion,
-                     case2_transform, case3_transform, classify,
+                     case2_transform, case3_transform, classify, delta_legacy,
                      diagonalize_elliptic, random_element, right_spectrum,
                      right_spectrum_casewise, stratum, validate)
 from quatu11.errors import (CaseMismatchError, ClaimViolationError,
-                            NotEllipticError)
+                            NotApplicableError, NotEllipticError)
 from quatu11.moebius import EPS_CLASS
 
 R2 = math.sqrt(2)
@@ -130,6 +130,11 @@ def test_stratum_decision_agrees_across_functions(class_pool):
         case, cls = stratum(t)
         assert classify(t) is cls
         right_spectrum_casewise(t)
+        if case is DiagonalizationCase.CASE3:
+            delta_legacy(t)
+        else:
+            with pytest.raises(NotApplicableError):
+                delta_legacy(t)
         if cls.coarse != "elliptic":
             with pytest.raises(NotEllipticError):
                 diagonalize_elliptic(t)

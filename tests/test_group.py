@@ -119,6 +119,15 @@ def test_nan_residual_fails_validation():
     assert not is_member(m)
     with pytest.raises(MembershipError):
         validate(m)
+    # |b| - |c| and the Gram term are NaN here while |a| - |d| is 0; a NaN
+    # term must not be passed over by max(), or this non-member reads 0.0.
+    tiny = Quaternion(1e-150)
+    trap = Mat2H(tiny, Quaternion(1e155, 1e155), Quaternion(1e155, -1e155),
+                 tiny)
+    assert not math.isfinite(membership_residual(trap))
+    assert not is_member(trap)
+    with pytest.raises(MembershipError):
+        validate(trap)
 
 
 def test_conjugation_by_identity_and_inverse(example, generic_pool):

@@ -7,8 +7,7 @@ import pytest
 from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, RightSpectrum,
                      SpectralSphere, classify, inverse_u11, left_eigenvalues,
                      random_element, right_spectrum, right_spectrum_casewise,
-                     right_spectrum_oracle, s_spectrum, validate,
-                     verify_s_point)
+                     right_spectrum_oracle, validate, verify_s_point)
 from quatu11.errors import NegativeRadicandError
 from quatu11.spectra import _clamped_sqrt
 
@@ -113,12 +112,8 @@ def test_unified_casewise_and_oracle_agree(class_pool, generic_pool):
         assert unified.max_deviation(oracle) <= 1e-7
 
 
-def test_s_spectrum_is_right_spectrum(example):
-    assert s_spectrum(example) == right_spectrum(example)
-
-
 def test_verify_s_point_accepts_and_rejects(example):
-    for sphere in s_spectrum(example).spheres:
+    for sphere in right_spectrum(example).spheres:
         for q in sphere.sample(10, seed=2):
             assert verify_s_point(example.m, q)
         rep = sphere.representative()
