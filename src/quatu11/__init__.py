@@ -4,7 +4,6 @@ the Moebius action on the unit ball, and constructive diagonalization of
 elliptic elements."""
 
 from .diagonalize import (DiagonalizationCase, DiagonalizationResult,
-                          case2_transform, case3_transform,
                           diagonalize_elliptic)
 from .errors import QuatU11Error
 from .group import (GroupElement, J, conjugate, inverse_u11, is_member,
@@ -37,6 +36,5 @@ __all__ = [
     "left_eigenvalues",
     "MoebiusClass", "apply", "stratum", "classify", "is_elliptic",
     "DiagonalizationCase", "DiagonalizationResult", "diagonalize_elliptic",
-    "case2_transform", "case3_transform",
     "QuatU11Error",
 ]

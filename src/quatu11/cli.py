@@ -21,7 +21,7 @@ from .group import (GroupElement, MEMBERSHIP_TOL, membership_residual,
                     random_element, validate)
 from .invariants import SINGLE_ELEMENT_CHECKS, IDENTITY_CHECKS, report
 from .mat2h import Mat2H
-from .moebius import EPS_CLASS, MoebiusClass, apply, classify, evidence
+from .moebius import MoebiusClass, apply, classify, evidence
 from .quaternion import Quaternion
 from .spectra import (SPECTRUM_TOL, left_eigenvalues, right_spectrum,
                       right_spectrum_casewise, right_spectrum_oracle)
@@ -59,7 +59,7 @@ def _quaternion_arg(text: str) -> Quaternion:
 def _check_tolerances(args) -> None:
     # A NaN or infinite tolerance turns every `residual > tol` gate into a
     # pass, and a negative one rejects everything.
-    for name in ("tol_membership", "tol_spectrum", "tol_identity", "eps_class"):
+    for name in ("tol_membership", "tol_spectrum", "tol_identity"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"--{name.replace('_', '-')} must be a finite "
@@ -95,8 +95,7 @@ def cmd_spectrum(args) -> int:
     else:
         spheres = right_spectrum(t)
         doc = {"kind": args.kind, "spheres": spheres.to_json(),
-               "spheres_casewise": right_spectrum_casewise(
-                   t, args.eps_class).to_json()}
+               "spheres_casewise": right_spectrum_casewise(t).to_json()}
         if args.oracle:
             oracle = right_spectrum_oracle(t.m)
             deviation = spheres.max_deviation(oracle)
@@ -109,7 +108,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_classify(args) -> int:
     t = validate(_load_matrix(args.matrix), args.tol_membership)
-    cls = classify(t, args.eps_class)
+    cls = classify(t)
     _print({"class": cls.value, "coarse": cls.coarse,
             "evidence": evidence(t)}, args.pretty)
     return 0
@@ -126,7 +125,7 @@ def cmd_apply(args) -> int:
 
 def cmd_diagonalize(args) -> int:
     t = validate(_load_matrix(args.matrix), args.tol_membership)
-    result = diagonalize_elliptic(t, args.eps_class)
+    result = diagonalize_elliptic(t)
     _print(result.to_json(), args.pretty)
     return 0
 
@@ -138,6 +137,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
+    if args.trials < 1 and args.matrix is None:
+        raise ValueError(f"--trials must be at least 1 without --matrix, "
+                         f"got {args.trials}")
     rows = []
     elements: list[tuple[GroupElement, GroupElement]] = []
     for idx in range(args.trials):
@@ -205,12 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="append chi-eigenvalue oracle data")
     p.add_argument("--tol-spectrum", type=float, default=SPECTRUM_TOL)
-    p.add_argument("--eps-class", type=float, default=EPS_CLASS)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("classify", help="six-way Moebius classification")
     _add_common(p)
-    p.add_argument("--eps-class", type=float, default=EPS_CLASS)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("apply", help="evaluate the ball action at a point")
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagonalize", help="conjugate an elliptic element "
                                            "to diagonal form")
     _add_common(p)
-    p.add_argument("--eps-class", type=float, default=EPS_CLASS)
     p.set_defaults(func=cmd_diagonalize)
 
     p = sub.add_parser("random", help="seeded random group element")

@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from .errors import CaseMismatchError, ClaimViolationError, NotEllipticError
 from .group import GroupElement, _j_adjoint, membership_residual, validate
 from .mat2h import Mat2H
-from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
-                      stratum)
+from .moebius import DiagonalizationCase, delta, stratum
 from .quaternion import QI, Quaternion, solve_similarity
 
 CLAIM_TOL = 1e-6
 
 __all__ = ["DiagonalizationCase", "DiagonalizationResult",
-           "diagonalize_elliptic", "case2_transform", "case3_transform"]
+           "diagonalize_elliptic"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,30 +61,24 @@ def _conjugation_residual(x: GroupElement, t: GroupElement, d: Mat2H) -> float:
     return (x.m @ t.m @ _j_adjoint(x.m) - d).frobenius()
 
 
-def diagonalize_elliptic(t: GroupElement,
-                         eps_class: float = EPS_CLASS) -> DiagonalizationResult:
+def diagonalize_elliptic(t: GroupElement) -> DiagonalizationResult:
     """Conjugator X and diagonal D with X T X^-1 == D, for elliptic T."""
-    case, cls = stratum(t, eps_class)
+    case, cls = stratum(t)
     if cls.coarse != "elliptic":
         raise NotEllipticError("only elliptic elements diagonalize over the "
                                "unit spectrum")
     if case is DiagonalizationCase.CASE1:
-        x = validate(Mat2H.identity())
         d = Mat2H.diag(t.m.a, t.m.d)
-        return DiagonalizationResult(x, d, _conjugation_residual(x, t, d),
-                                     x.membership_residual,
+        return DiagonalizationResult(GroupElement(Mat2H.identity(), 0.0), d,
+                                     (t.m - d).frobenius(), 0.0,
                                      DiagonalizationCase.CASE1)
     if case is DiagonalizationCase.CASE2:
-        return case2_transform(t, eps_class)
-    return case3_transform(t, eps_class)
+        return _case2(t)
+    return _case3(t)
 
 
-def case2_transform(t: GroupElement,
-                    eps_class: float = EPS_CLASS) -> DiagonalizationResult:
+def _case2(t: GroupElement) -> DiagonalizationResult:
     """Diagonalize T with b == conj(c) != 0 and d0^2 < 1."""
-    if stratum(t, eps_class) != (DiagonalizationCase.CASE2,
-                                 MoebiusClass.SIMPLE_ELLIPTIC):
-        raise CaseMismatchError("requires b == conj(c) != 0 and d0^2 < 1")
     m = t.m
     d0 = m.d.w
 
@@ -111,12 +104,8 @@ def case2_transform(t: GroupElement,
                                  DiagonalizationCase.CASE2)
 
 
-def case3_transform(t: GroupElement,
-                    eps_class: float = EPS_CLASS) -> DiagonalizationResult:
+def _case3(t: GroupElement) -> DiagonalizationResult:
     """Diagonalize T with b != conj(c) != 0 and delta < 0."""
-    if stratum(t, eps_class) != (DiagonalizationCase.CASE3,
-                                 MoebiusClass.COMPOUND_ELLIPTIC):
-        raise CaseMismatchError("requires b != conj(c) != 0 and delta < 0")
     m = t.m
     bc = m.b - m.c.conjugate()
     dlt = delta(m)

@@ -50,7 +50,7 @@ class NotEllipticError(QuatU11Error):
 
 
 class CaseMismatchError(QuatU11Error):
-    """Input does not satisfy the preconditions of the requested case."""
+    """Input does not satisfy the preconditions of its diagonalization case."""
 
 
 class ClaimViolationError(QuatU11Error):

@@ -72,15 +72,14 @@ def delta(m: Mat2H) -> float:
     return (m.b - m.c.conjugate()).norm_sq() - (m.a.w - m.d.w) ** 2
 
 
-def stratum(t: GroupElement, eps_class: float = EPS_CLASS
-            ) -> tuple[DiagonalizationCase, MoebiusClass]:
+def stratum(t: GroupElement) -> tuple[DiagonalizationCase, MoebiusClass]:
     """The diagonalization case (row of the table above) and class of T."""
     m = t.m
-    eps = eps_class * (1.0 + m.frobenius())
+    eps = EPS_CLASS * (1.0 + m.frobenius())
     b_zero = m.b.norm() <= eps
     c_zero = m.c.norm() <= eps
     if b_zero and c_zero:
-        if abs(m.a.w - m.d.w) <= eps_class:
+        if abs(m.a.w - m.d.w) <= EPS_CLASS:
             return DiagonalizationCase.CASE1, MoebiusClass.SIMPLE_ELLIPTIC
         return DiagonalizationCase.CASE1, MoebiusClass.COMPOUND_ELLIPTIC
     if b_zero or c_zero:
@@ -88,25 +87,25 @@ def stratum(t: GroupElement, eps_class: float = EPS_CLASS
             "exactly one off-diagonal entry is zero; |b| == |c| fails")
     if (m.b - m.c.conjugate()).norm() <= eps:
         gap = m.d.w * m.d.w - 1.0
-        if abs(gap) <= eps_class:
+        if abs(gap) <= EPS_CLASS:
             return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_PARABOLIC
         if gap < 0.0:
             return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_ELLIPTIC
         return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_LOXODROMIC
     dlt = delta(m)
-    if abs(dlt) <= eps_class:
+    if abs(dlt) <= EPS_CLASS:
         return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_PARABOLIC
     if dlt < 0.0:
         return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_ELLIPTIC
     return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_LOXODROMIC
 
 
-def classify(t: GroupElement, eps_class: float = EPS_CLASS) -> MoebiusClass:
-    return stratum(t, eps_class)[1]
+def classify(t: GroupElement) -> MoebiusClass:
+    return stratum(t)[1]
 
 
-def is_elliptic(t: GroupElement, eps_class: float = EPS_CLASS) -> bool:
-    return classify(t, eps_class).coarse == "elliptic"
+def is_elliptic(t: GroupElement) -> bool:
+    return classify(t).coarse == "elliptic"
 
 
 def evidence(t: GroupElement) -> dict:

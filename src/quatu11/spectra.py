@@ -42,7 +42,6 @@ __all__ = [
     "verify_s_point",
     "right_spectrum_oracle",
     "left_eigenvalues",
-    "EPS_CLASS",
     "SPECTRUM_TOL",
 ]
 
@@ -150,15 +149,14 @@ def right_spectrum(t: GroupElement) -> RightSpectrum:
     return RightSpectrum.from_pairs(_sphere_pairs(m.a.w + m.d.w, delta(m)))
 
 
-def right_spectrum_casewise(t: GroupElement,
-                            eps_class: float = EPS_CLASS) -> RightSpectrum:
+def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
     """Spectral spheres from the case-by-case description.
 
     An independent route kept deliberately close to the entry data: the
     off-diagonal cases work through d0, the generic case through the real
     part of conj(c)^-1 b conj(d) + d rather than a0 + d0.
     """
-    case, cls = stratum(t, eps_class)
+    case, cls = stratum(t)
     m = t.m
     if case is DiagonalizationCase.CASE1:
         return RightSpectrum.from_pairs([(m.a.w, 1.0), (m.d.w, 1.0)])

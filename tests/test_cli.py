@@ -146,7 +146,7 @@ def test_tolerance_flags_cannot_switch_off_the_membership_gate(command, value):
     assert proc.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("flag", ["--tol-spectrum", "--eps-class"])
+@pytest.mark.parametrize("flag", ["--tol-spectrum"])
 def test_spectrum_rejects_non_finite_tolerances(example_file, flag):
     proc = run_cli("spectrum", example_file, f"{flag}=nan")
     assert proc.returncode == 1
@@ -159,6 +159,30 @@ def test_check_identities_rejects_negative_tolerance():
                    "--tol-identity=-1")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_identities_rejects_an_empty_element_set(trials):
+    proc = run_cli("check-identities", "--seed", "1", "--trials", trials)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --trials")
+
+
+def test_check_identities_zero_trials_checks_the_injected_matrix(example_file):
+    proc = run_cli("check-identities", "--seed", "1", "--trials", "0",
+                   "--matrix", example_file)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["trials"] == 1 and doc["pass"] is True
+
+
+@pytest.mark.parametrize("command", ["spectrum", "classify", "diagonalize"])
+def test_eps_class_is_not_a_flag(example_file, command):
+    proc = run_cli(command, example_file, "--eps-class", "1e-3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --eps-class" in proc.stderr
 
 
 def test_diagonalize_output(example_file):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import quatu11.diagonalize
 from quatu11 import (DiagonalizationCase, Mat2H, QI, QJ, Quaternion,
-                     case2_transform, case3_transform, classify, delta_legacy,
-                     diagonalize_elliptic, random_element, right_spectrum,
-                     right_spectrum_casewise, stratum, validate)
-from quatu11.errors import (CaseMismatchError, ClaimViolationError,
-                            NotApplicableError, NotEllipticError)
+                     classify, delta_legacy, diagonalize_elliptic,
+                     random_element, right_spectrum, right_spectrum_casewise,
+                     stratum, validate)
+from quatu11.errors import (ClaimViolationError, NotApplicableError,
+                            NotEllipticError)
 from quatu11.moebius import EPS_CLASS
 
 R2 = math.sqrt(2)
@@ -87,12 +88,22 @@ def test_rejects_non_elliptic():
         diagonalize_elliptic(random_element([92, 1], class_hint="CompoundParabolic"))
 
 
-def test_case_transforms_guard_their_stratum(example):
-    with pytest.raises(CaseMismatchError):
-        case2_transform(example)  # b != conj(c)
-    diag = validate(Mat2H.diag(QI, QJ))
-    with pytest.raises(CaseMismatchError):
-        case3_transform(diag)
+def test_one_stratum_decision_per_diagonalization(class_pool, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return stratum(*args)
+
+    monkeypatch.setattr(quatu11.diagonalize, "stratum", counting)
+    elements = class_pool["SimpleElliptic"] + class_pool["CompoundElliptic"]
+    elements.append(validate(Mat2H.diag(QI, QJ)))
+    cases = set()
+    for t in elements:
+        calls.clear()
+        cases.add(diagonalize_elliptic(t).case_used)
+        assert len(calls) == 1
+    assert cases == set(DiagonalizationCase)
 
 
 def test_result_serializes(example):
