@@ -56,7 +56,7 @@ def _quaternion_arg(text: str) -> Quaternion:
     return Quaternion.from_list(parts)
 
 
-def _check_tolerances(args) -> None:
+def _check_flags(args) -> None:
     # A NaN or infinite tolerance turns every `residual > tol` gate into a
     # pass, and a negative one rejects everything.
     for name in ("tol_membership", "tol_spectrum", "tol_identity"):
@@ -64,6 +64,9 @@ def _check_tolerances(args) -> None:
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"--{name.replace('_', '-')} must be a finite "
                              f"non-negative number, got {value!r}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be a non-negative integer, "
+                         f"got {args.seed}")
 
 
 def cmd_validate(args) -> int:
@@ -252,7 +255,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        _check_tolerances(args)
+        _check_flags(args)
         return args.func(args)
     except (NotApplicableError, NotEllipticError, PoleError,
             CaseMismatchError) as exc:

@@ -117,25 +117,6 @@ class GroupElement:
     _powers: tuple[Mat2H, Mat2H, Mat2H, Mat2H] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    @property
-    def a(self) -> Quaternion:
-        return self.m.a
-
-    @property
-    def b(self) -> Quaternion:
-        return self.m.b
-
-    @property
-    def c(self) -> Quaternion:
-        return self.m.c
-
-    @property
-    def d(self) -> Quaternion:
-        return self.m.d
-
-    def tr(self) -> float:
-        return self.m.tr()
-
     def powers(self) -> tuple[Mat2H, Mat2H, Mat2H, Mat2H]:
         """T^2, T^3, T^4 and T^6 from four products, formed on first use."""
         if self._powers is None:

@@ -312,9 +312,10 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     With b != 0, lambda = a + b q for the roots q of q^2 + B q + C == 0.
     Real B and C give two real roots or a sphere family; otherwise the
     Huang-So formulas give at most two candidates.  Every emitted point
-    satisfies the quadratic residual bound and makes M - lambda I singular;
-    when no candidate survives those filters the computation is reported as
-    failed rather than silently empty.
+    satisfies the quadratic residual bound, which already makes M - lambda I
+    singular: (1, q) is its null vector up to |b| times that residual.  When
+    no candidate survives the filter the computation is reported as failed
+    rather than silently empty.
     """
     eps = EPS_CLASS * (1.0 + m.frobenius())
     if m.b.norm() <= eps:
@@ -346,8 +347,6 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
         if _quad_residual(q, B, C) > QUADRATIC_RESIDUAL_TOL:
             continue
         lam = m.a + m.b * q
-        if not (m - Mat2H.diag(lam, lam)).is_singular(SPECTRUM_TOL):
-            continue
         if any((lam - known).norm() <= 1e-8 for known in seen):
             continue
         seen.append(lam)

@@ -110,7 +110,7 @@ def test_criterion_3_trace_zero(acceptance):
     real_d = [_trace_zero_real_d(k) for k in range(100)]
     worst_bound = worst_rel = worst_real = 0.0
     for t in elements + real_d:
-        assert abs(t.tr()) < 1e-8
+        assert abs(t.m.tr()) < 1e-8
         sq = t.m @ t.m
         worst_bound = max(worst_bound, sq.tr() - 4.0)
         worst_rel = max(worst_rel, (sq.b - sq.c.conjugate()).norm(),
@@ -241,7 +241,7 @@ def test_criterion_7_diagonalization_suite(acceptance):
             worst_sphere = max(worst_sphere, best)
         if result.case_used is DiagonalizationCase.CASE3:
             gap = result.d.a.w - result.d.d.w
-            if t.a.w > t.d.w:
+            if t.m.a.w > t.m.d.w:
                 ordering_ok = ordering_ok and gap > -1e-9
             else:
                 ordering_ok = ordering_ok and gap < 1e-9

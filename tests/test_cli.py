@@ -169,6 +169,14 @@ def test_check_identities_rejects_an_empty_element_set(trials):
     assert proc.stderr.startswith("error: --trials")
 
 
+@pytest.mark.parametrize("command", [["random"], ["check-identities", "--trials", "1"]])
+def test_negative_seed_is_rejected_before_sampling(command):
+    proc = run_cli(*command, "--seed", "-1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_check_identities_zero_trials_checks_the_injected_matrix(example_file):
     proc = run_cli("check-identities", "--seed", "1", "--trials", "0",
                    "--matrix", example_file)

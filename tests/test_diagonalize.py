@@ -75,7 +75,7 @@ def test_case3_pool_and_ordering():
         _assert_sound(result, t)
         if result.case_used is DiagonalizationCase.CASE3:
             gap = result.d.a.w - result.d.d.w
-            if t.a.w > t.d.w:
+            if t.m.a.w > t.m.d.w:
                 assert gap > -1e-9
             else:
                 assert gap < 1e-9

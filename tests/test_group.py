@@ -189,9 +189,3 @@ def test_unknown_hint_is_rejected():
 def test_hint_exhaustion_surfaces():
     with pytest.raises(HintExhaustedError):
         random_element(1, class_hint="CompoundLoxodromic", max_attempts=0)
-
-
-def test_element_accessors(example):
-    assert example.a == example.m.a
-    assert example.d == example.m.d
-    assert example.tr() == 2.0

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from quatu11 import (Mat2H, QI, QJ, Quaternion, conjugate, delta, delta_legacy,
-                     delta_via_traces, mat_pow, random_element, report, validate)
+from quatu11 import (GroupElement, Mat2H, QI, QJ, Quaternion, conjugate, delta,
+                     delta_legacy, delta_via_traces, mat_pow,
+                     membership_residual, random_element, report, validate)
 from quatu11.errors import NotApplicableError
 from quatu11.invariants import IDENTITY_CHECKS, SINGLE_ELEMENT_CHECKS
 
@@ -23,11 +24,16 @@ def test_delta_legacy_matches_on_the_example(example):
 
 
 def test_delta_legacy_requires_case_three():
-    with pytest.raises(NotApplicableError):
-        delta_legacy(validate(Mat2H.diag(QI, QJ)))  # c == 0
-    rotor = validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))
-    with pytest.raises(NotApplicableError):
-        delta_legacy(rotor)  # b == conj(c)
+    diagonal = validate(Mat2H.diag(QI, QJ))  # b == c == 0
+    rotor = validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))  # b == conj(c)
+    # b == 0 != c: no group element has this pattern, and stratum raises
+    # MembershipError, which delta_legacy reports as not applicable
+    lower = Mat2H(Quaternion(1.0), Quaternion(), QI, Quaternion(1.0))
+    one_zero = GroupElement(lower, membership_residual(lower))
+    for t in (diagonal, rotor, one_zero):
+        with pytest.raises(NotApplicableError):
+            delta_legacy(t)
+        assert report(t).delta_legacy is None
 
 
 def test_delta_legacy_agrees_generically(generic_pool):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, RightSpectrum,
@@ -173,14 +174,41 @@ def test_rotor_square_left_family():
         assert (square - Mat2H.diag(lam, lam)).is_singular(1e-6)
 
 
-def test_left_points_pass_the_singularity_oracle(generic_pool):
-    for t in generic_pool[:25]:
-        if t.m.b.norm() < 0.1:
-            continue
-        desc = left_eigenvalues(t.m)
+def _left_pool(class_pool, generic_pool):
+    """Every class, generic members, and 300 seeded off-group Gaussian
+    matrices at scales 1e-3, 1 and 1e3."""
+    pool = [t.m for members in class_pool.values() for t in members]
+    pool += [t.m for t in generic_pool[:25]]
+    rng = np.random.default_rng(176)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(100):
+            v = scale * rng.standard_normal(16)
+            pool.append(Mat2H(*(Quaternion(*v[k:k + 4]) for k in range(0, 16, 4))))
+    return pool
+
+
+def test_left_points_pass_the_singularity_oracle(class_pool, generic_pool):
+    # left_eigenvalues filters on the quadratic residual alone; this is the
+    # check that the residual bound implies singularity of M - lambda I
+    for m in _left_pool(class_pool, generic_pool):
+        desc = left_eigenvalues(m)
         assert desc.points or desc.families
         for lam in desc.points:
-            assert (t.m - Mat2H.diag(lam, lam)).is_singular(1e-7)
+            assert (m - Mat2H.diag(lam, lam)).is_singular(1e-7)
+
+
+def test_left_eigenvalues_builds_no_chi(class_pool, generic_pool, monkeypatch):
+    calls = []
+    chi = Mat2H.chi
+
+    def counting(self):
+        calls.append(self)
+        return chi(self)
+
+    monkeypatch.setattr(Mat2H, "chi", counting)
+    for m in _left_pool(class_pool, generic_pool):
+        left_eigenvalues(m)
+    assert len(calls) == 0
 
 
 def test_left_spectrum_json_shape():
