@@ -45,11 +45,11 @@ class Mat2H:
 
     @classmethod
     def identity(cls) -> "Mat2H":
-        return cls(ONE, ZERO, ZERO, ONE)
+        return _from_quaternions(ONE, ZERO, ZERO, ONE)
 
     @classmethod
     def diag(cls, p, q) -> "Mat2H":
-        return cls(_entry(p), ZERO, ZERO, _entry(q))
+        return _from_quaternions(_entry(p), ZERO, ZERO, _entry(q))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Mat2H":

@@ -9,7 +9,6 @@ appear on, which is safe because reals are central.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NotSimilarError
 
@@ -29,12 +28,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class Quaternion:
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+    """w + x*i + y*j + z*k; immutable, compared and hashed by components."""
+
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w: float = 0.0, x: float = 0.0,
+                 y: float = 0.0, z: float = 0.0):
+        _set_w(self, w)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # The default slot-state restore assigns through __setattr__.
+        return (Quaternion, (self.w, self.x, self.y, self.z))
+
+    def __repr__(self) -> str:
+        return (f"Quaternion(w={self.w!r}, x={self.x!r}, "
+                f"y={self.y!r}, z={self.z!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w, self.x, self.y, self.z) == \
+            (other.w, other.x, other.y, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.w, self.x, self.y, self.z))
 
     @classmethod
     def real(cls, value: float) -> "Quaternion":
@@ -51,20 +78,22 @@ class Quaternion:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        if other.__class__ is not Quaternion:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _new(self.w + other.w, self.x + other.x,
+                    self.y + other.y, self.z + other.z)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+        if other.__class__ is not Quaternion:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _new(self.w - other.w, self.x - other.x,
+                    self.y - other.y, self.z - other.z)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -73,17 +102,18 @@ class Quaternion:
         return other - self
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _new(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        if not isinstance(other, Quaternion):
-            return NotImplemented
+        if other.__class__ is not Quaternion:
+            if isinstance(other, (int, float)):
+                return _new(self.w * other, self.x * other,
+                            self.y * other, self.z * other)
+            if not isinstance(other, Quaternion):
+                return NotImplemented
         a, b, c, d = self.w, self.x, self.y, self.z
         e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(
+        return _new(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
@@ -92,8 +122,8 @@ class Quaternion:
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
+            return _new(self.w * other, self.x * other,
+                        self.y * other, self.z * other)
         return NotImplemented
 
     def __truediv__(self, other):
@@ -114,7 +144,7 @@ class Quaternion:
     # -- involution and size ---------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _new(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
@@ -128,7 +158,7 @@ class Quaternion:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _new(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
@@ -139,7 +169,7 @@ class Quaternion:
     # -- real/imaginary split ---------------------------------------------
 
     def imag(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
+        return _new(0.0, self.x, self.y, self.z)
 
     def imag_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -162,7 +192,7 @@ def _mul_add(p: Quaternion, r: Quaternion,
     e, f, g, h = r.w, r.x, r.y, r.z
     a2, b2, c2, d2 = q.w, q.x, q.y, q.z
     e2, f2, g2, h2 = s.w, s.x, s.y, s.z
-    return Quaternion(
+    return _new(
         (a * e - b * f - c * g - d * h)
         + (a2 * e2 - b2 * f2 - c2 * g2 - d2 * h2),
         (a * f + b * e + c * h - d * g)
@@ -174,11 +204,30 @@ def _mul_add(p: Quaternion, r: Quaternion,
     )
 
 
+_set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[name].__set__
+                                  for name in ("w", "x", "y", "z"))
+_object_new = object.__new__
+
+
+def _new(w, x, y, z) -> Quaternion:
+    """Quaternion from four components, the constructor of the arithmetic.
+
+    Sets the slots through their descriptors, as __init__ does, without
+    the call through type() and the keyword defaults.
+    """
+    out = _object_new(Quaternion)
+    _set_w(out, w)
+    _set_x(out, x)
+    _set_y(out, y)
+    _set_z(out, z)
+    return out
+
+
 def _coerce(value):
     if isinstance(value, Quaternion):
         return value
     if isinstance(value, (int, float)):
-        return Quaternion(float(value), 0.0, 0.0, 0.0)
+        return _new(float(value), 0.0, 0.0, 0.0)
     return NotImplemented
 
 
@@ -196,7 +245,7 @@ def is_similar(p: Quaternion, q: Quaternion, tol: float = SIMILARITY_TOL) -> boo
 
 def standard_rep(q: Quaternion) -> Quaternion:
     """Canonical class representative Re(q) + i*|Im(q)|."""
-    return Quaternion(q.w, q.imag_norm(), 0.0, 0.0)
+    return _new(q.w, q.imag_norm(), 0.0, 0.0)
 
 
 def solve_similarity(s: Quaternion, u: Quaternion,

@@ -270,6 +270,25 @@ def _quad_residual(q: Quaternion, B: Quaternion, C: Quaternion) -> float:
     return (q * q + B * q + C).norm()
 
 
+def _largest_resolvent_root(beta: float, gap: float, dd: float) -> float:
+    """Largest real part among the roots of z^3 + 2 beta z^2 + gap z - dd.
+
+    The roots are the eigenvalues of the companion matrix with first row
+    (-2 beta, -gap, dd) and ones below the diagonal.  Trailing zero
+    coefficients are first split off as roots z == 0.  Both steps are those
+    of numpy's `roots`, so the result is bit for bit the largest real part
+    it returns, without its wrapper's cost.
+    """
+    row = [-2.0 * beta, -gap, dd]
+    split = []
+    while row and row[-1] == 0.0:
+        row.pop()
+        split.append(0.0)
+    companion = np.eye(len(row), k=-1)
+    companion[:1] = row  # no rows at all when every coefficient is zero
+    return float(max([*np.linalg.eigvals(companion).real, *split]))
+
+
 def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
     """Roots of q^2 + B q + C == 0 for B, C not both real (Huang and So).
 
@@ -293,7 +312,7 @@ def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
         z = 2.0 * c.norm() - beta
     else:
         # The root of largest real part is the one with z + beta > 0.
-        z = float(max(np.roots([1.0, 2.0 * beta, gap, -D * D]).real))
+        z = _largest_resolvent_root(beta, gap, D * D)
     if z > DOUBLE_ROOT_TOL * size:
         pairs = [(t, 0.5 * (z + beta + D / t))
                  for t in (math.sqrt(z), -math.sqrt(z))]

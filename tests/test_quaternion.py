@@ -1,7 +1,10 @@
 """Quaternion arithmetic, similarity classes, and the intertwiner solver."""
 
+import copy
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,3 +133,47 @@ def test_solve_similarity_rejects_dissimilar():
 def test_json_round_trip():
     q = Quaternion(1.5, -2.0, 0.25, 3.0)
     assert Quaternion.from_list(q.as_list()) == q
+
+
+def _bits(q):
+    return [(type(v), float(v).hex()) for v in q.as_list()]
+
+
+@pytest.mark.parametrize("copier", [
+    lambda q: pickle.loads(pickle.dumps(q)), copy.copy, copy.deepcopy])
+def test_copies_keep_every_bit(copier):
+    q = Quaternion(-0.0, np.float64(1.0) / 3.0, 2.5, -1e-300)
+    got = copier(q)
+    assert got == q
+    assert _bits(got) == _bits(q)
+
+
+def test_fields_are_read_only():
+    q = Quaternion(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(AttributeError):
+        q.w = 5.0
+    with pytest.raises(AttributeError):
+        q.extra = 5.0
+    with pytest.raises(AttributeError):
+        del q.x
+    assert q.as_list() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_repr_equality_and_hash():
+    assert repr(Quaternion(1.0, -0.0, 2.5)) == \
+        "Quaternion(w=1.0, x=-0.0, y=2.5, z=0.0)"
+    assert Quaternion(w=1.0, z=2.0) == Quaternion(1.0, 0.0, 0.0, 2.0)
+    assert Quaternion(1.0) != (1.0, 0.0, 0.0, 0.0)
+    assert Quaternion(1.0) != 1.0
+    assert hash(Quaternion(0.5, 1.0)) == hash(Quaternion(0.5, 1.0, 0.0, 0.0))
+    assert len({Quaternion(0.5, 1.0), Quaternion(0.5, 1.0, 0.0, 0.0)}) == 1
+
+
+def test_real_scalars_coerce_with_a_zero_imaginary_part():
+    # a real operand becomes (r, 0.0, 0.0, 0.0), so -0.0 + 0.0 gives 0.0
+    q = Quaternion(1.0, -0.0, -0.0, -0.0)
+    assert _bits(q + 1.0) == _bits(Quaternion(2.0, 0.0, 0.0, 0.0))
+    assert _bits(1.0 + q) == _bits(q + 1.0)
+    assert _bits(1.0 - q) == _bits(Quaternion(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(TypeError):
+        q + "1"

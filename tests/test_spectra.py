@@ -9,6 +9,7 @@ from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, RightSpectrum,
                      SpectralSphere, classify, inverse_u11, left_eigenvalues,
                      random_element, right_spectrum, right_spectrum_casewise,
                      right_spectrum_oracle, validate, verify_s_point)
+from quatu11 import spectra
 from quatu11.errors import NegativeRadicandError
 from quatu11.spectra import _clamped_sqrt
 
@@ -209,6 +210,34 @@ def test_left_eigenvalues_builds_no_chi(class_pool, generic_pool, monkeypatch):
     for m in _left_pool(class_pool, generic_pool):
         left_eigenvalues(m)
     assert len(calls) == 0
+
+
+def test_resolvent_companion_matches_np_roots(class_pool, generic_pool,
+                                              monkeypatch):
+    # the resolvent root comes from eigvals of the companion matrix that
+    # np.roots builds; pin it to np.roots bit for bit on every (beta, gap,
+    # D*D) the left spectrum meets, and where D*D underflows to 0.0 and
+    # np.roots splits off the zero root before building a smaller matrix
+    triples = []
+    largest = spectra._largest_resolvent_root
+
+    def recording(beta, gap, dd):
+        triples.append((beta, gap, dd))
+        return largest(beta, gap, dd)
+
+    monkeypatch.setattr(spectra, "_largest_resolvent_root", recording)
+    for m in _left_pool(class_pool, generic_pool):
+        left_eigenvalues(m)
+    pool_triples = len(triples)
+    for c0 in (0.5, -0.5):
+        spectra._quadratic_roots(Quaternion(0.0, 1.0),
+                                 Quaternion(c0, 1e-170, 0.8, -0.3))
+    assert pool_triples > 300
+    assert all(dd == 0.0 for _, _, dd in triples[pool_triples:])
+    triples += [(1.5, 0.0, 0.0), (-1.5, 0.0, 0.0), (0.0, 0.0, 0.0)]
+    for beta, gap, dd in triples:
+        expected = float(max(np.roots([1.0, 2.0 * beta, gap, -dd]).real))
+        assert largest(beta, gap, dd).hex() == expected.hex()
 
 
 def test_left_spectrum_json_shape():
