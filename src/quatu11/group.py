@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
 from .mat2h import Mat2H, _from_quaternions
 from .quaternion import ONE, Quaternion
@@ -164,10 +162,10 @@ def conjugate(t: GroupElement, g: GroupElement,
 def _unit_vector(rng, k: int) -> list[float]:
     """A uniform point on the unit sphere in R^k, by rejecting tiny draws."""
     v = rng.standard_normal(k)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v.dot(v)))
     while n < 1e-6:
         v = rng.standard_normal(k)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(float(v.dot(v)))
     return [float(p) / n for p in v]
 
 
@@ -276,6 +274,7 @@ def random_element(seed, class_hint: str | None = None,
     the parabolic families are constructed directly since rejection alone
     would never hit a measure-zero stratum.
     """
+    import numpy as np
     from .moebius import MoebiusClass, classify  # late import, avoids a cycle
 
     if class_hint is not None:

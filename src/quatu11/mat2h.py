@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SingularMatrixError
 from .quaternion import ONE, ZERO, Quaternion, _mul_add
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SINGULAR_TOL = 1e-12
 
@@ -129,6 +131,7 @@ class Mat2H:
     # -- complex adjoint --------------------------------------------------
 
     def chi(self) -> np.ndarray:
+        import numpy as np
         out = np.empty((4, 4), dtype=complex)
         for row, col, q in ((0, 0, self.a), (0, 2, self.b),
                             (2, 0, self.c), (2, 2, self.d)):
@@ -151,6 +154,7 @@ class Mat2H:
         return cls(pick(0, 0), pick(0, 2), pick(2, 0), pick(2, 2))
 
     def inverse(self) -> "Mat2H":
+        import numpy as np
         rep = self.chi()
         smallest = np.linalg.svd(rep, compute_uv=False)[-1]
         if smallest <= SINGULAR_TOL * np.linalg.norm(rep):
@@ -158,6 +162,7 @@ class Mat2H:
         return Mat2H.from_chi(np.linalg.inv(rep))
 
     def is_singular(self, tol: float = SINGULAR_TOL) -> bool:
+        import numpy as np
         rep = self.chi()
         smallest = np.linalg.svd(rep, compute_uv=False)[-1]
         return bool(smallest <= tol * (1.0 + np.linalg.norm(rep)))

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NegativeRadicandError, NoRootFoundError
 from .group import GroupElement, _unit_vector
 from .mat2h import Mat2H
@@ -65,6 +63,7 @@ class SpectralSphere:
         return Quaternion(self.re, imag, 0.0, 0.0)
 
     def sample(self, count: int, seed=0) -> list[Quaternion]:
+        import numpy as np
         rng = np.random.default_rng(seed)
         imag = math.sqrt(max(self.modulus ** 2 - self.re ** 2, 0.0))
         return [Quaternion(self.re, 0, 0, 0) + _unit_imaginary(rng) * imag
@@ -194,6 +193,7 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
     clustering the projections recovers the spectral spheres without any
     of the closed-form machinery above.
     """
+    import numpy as np
     eigenvalues = np.linalg.eigvals(m.chi())
     pairs = sorted((float(e.real), float(abs(e))) for e in eigenvalues)
     clusters: list[list[float]] = []
@@ -241,6 +241,7 @@ class SphereFamily:
         return self.beta.normalized()
 
     def sample(self, count: int, seed=0) -> list[Quaternion]:
+        import numpy as np
         rng = np.random.default_rng(seed)
         return [self.alpha + self.beta * _unit_imaginary(rng)
                 for _ in range(count)]
@@ -279,6 +280,7 @@ def _largest_resolvent_root(beta: float, gap: float, dd: float) -> float:
     of numpy's `roots`, so the result is bit for bit the largest real part
     it returns, without its wrapper's cost.
     """
+    import numpy as np
     row = [-2.0 * beta, -gap, dd]
     split = []
     while row and row[-1] == 0.0:

@@ -40,15 +40,20 @@ def run_cli(*args, stdin=None):
                                        err.getvalue())
 
 
-def run_process(*args, stdin=None):
-    """Run `python -m quatu11.cli` as a real process, for the exit codes and
-    stderr that the interpreter itself produces."""
-    # Put this checkout's src/ first so the child imports the code under test.
+def run_python(*args, stdin=None):
+    """Run a fresh interpreter with this checkout's src/ first on its path,
+    so the child imports the code under test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "quatu11.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, input=stdin, env=env)
+
+
+def run_process(*args, stdin=None):
+    """Run `python -m quatu11.cli` as a real process, for the exit codes and
+    stderr that the interpreter itself produces."""
+    return run_python("-m", "quatu11.cli", *args, stdin=stdin)
 
 
 @pytest.fixture()
@@ -281,3 +286,36 @@ def test_pretty_flag_is_cosmetic(example_file):
     pretty = run_cli("classify", "--pretty", example_file).stdout
     assert plain != pretty
     assert json.loads(plain) == json.loads(pretty)
+
+
+NUMPY_BOUNDARY = """
+import contextlib, io, json, sys
+import quatu11, quatu11.cli
+path = sys.argv[1]
+
+def call(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = quatu11.cli.main([*args, path])
+    return code, out.getvalue()
+
+codes = [call(*args)[0] for args in (
+    ["validate"], ["invariants"], ["classify"],
+    ["apply", "--point", "[0.1, 0.0, 0.0, 0.0]"], ["diagonalize"],
+    ["spectrum", "--kind", "right"])]
+before = "numpy" in sys.modules
+code, oracle = call("spectrum", "--oracle")
+print(json.dumps({"codes": codes, "before": before, "oracle_code": code,
+                  "after": "numpy" in sys.modules, "oracle": oracle}))
+"""
+
+
+def test_numpy_loads_only_where_it_computes(example_file):
+    proc = run_python("-c", NUMPY_BOUNDARY, example_file)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0] * 6
+    assert doc["before"] is False
+    assert doc["oracle_code"] == 0
+    assert doc["after"] is True
+    assert json.loads(doc["oracle"])["agrees"] is True

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from quatu11.cli import main
+from quatu11.group import random_element
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
@@ -53,6 +54,13 @@ CASES = [(command, matrix) for matrix in MATRICES for command in COMMANDS]
 @pytest.fixture(scope="module")
 def expected():
     return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("matrix", MATRICES[:-1])
+def test_class_matrices_are_the_sampler_output(matrix):
+    # Pins the bits of random_element: each class matrix is its seed-1 draw.
+    doc = json.loads((GOLDEN / f"{matrix}.json").read_text(encoding="utf-8"))
+    assert random_element(1, matrix).m.to_json() == doc
 
 
 @pytest.mark.parametrize("command,matrix", CASES,
