@@ -23,13 +23,12 @@ other under conjugation (Claim C).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CaseMismatchError, ClaimViolationError, NotEllipticError
 from .group import GroupElement, _j_adjoint, membership_residual, validate
 from .mat2h import Mat2H
 from .moebius import DiagonalizationCase, delta, stratum
-from .quaternion import QI, Quaternion, solve_similarity
+from .quaternion import QI, Quaternion, Record, solve_similarity
 
 CLAIM_TOL = 1e-6
 
@@ -37,14 +36,19 @@ __all__ = ["DiagonalizationCase", "DiagonalizationResult",
            "diagonalize_elliptic"]
 
 
-@dataclass(frozen=True, slots=True)
-class DiagonalizationResult:
-    x: GroupElement
-    d: Mat2H
-    residual_conjugation: float
-    residual_membership: float
-    case_used: DiagonalizationCase
-    claim_residual: float = 0.0
+class DiagonalizationResult(Record):
+    __slots__ = ("x", "d", "residual_conjugation", "residual_membership",
+                 "case_used", "claim_residual")
+
+    def __init__(self, x: GroupElement, d: Mat2H,
+                 residual_conjugation: float, residual_membership: float,
+                 case_used: DiagonalizationCase, claim_residual: float = 0.0):
+        _set_x(self, x)
+        _set_d(self, d)
+        _set_residual_conjugation(self, residual_conjugation)
+        _set_residual_membership(self, residual_membership)
+        _set_case_used(self, case_used)
+        _set_claim_residual(self, claim_residual)
 
     def to_json(self) -> dict:
         return {
@@ -55,6 +59,10 @@ class DiagonalizationResult:
             "case": self.case_used.value,
             "claim_residual": self.claim_residual,
         }
+
+
+(_set_x, _set_d, _set_residual_conjugation, _set_residual_membership,
+ _set_case_used, _set_claim_residual) = DiagonalizationResult._slot_setters()
 
 
 def _conjugation_residual(x: GroupElement, t: GroupElement, d: Mat2H) -> float:

@@ -13,11 +13,10 @@ three entry conditions that are not themselves entries of T* J T - J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
 from .mat2h import Mat2H, _from_quaternions
-from .quaternion import ONE, Quaternion
+from .quaternion import Quaternion, Record
 
 MEMBERSHIP_TOL = 1e-9
 MAX_HINT_ATTEMPTS = 100_000
@@ -106,14 +105,15 @@ def is_member(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> bool:
     return membership_residual(m) <= tol
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(Record):
     """A membership-checked matrix together with its residual."""
 
-    m: Mat2H
-    membership_residual: float
-    _powers: tuple[Mat2H, Mat2H, Mat2H, Mat2H] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("m", "membership_residual", "_powers")
+
+    def __init__(self, m: Mat2H, membership_residual: float):
+        _set_m(self, m)
+        _set_membership_residual(self, membership_residual)
+        _set_powers(self, None)
 
     def powers(self) -> tuple[Mat2H, Mat2H, Mat2H, Mat2H]:
         """T^2, T^3, T^4 and T^6 from four products, formed on first use."""
@@ -122,8 +122,11 @@ class GroupElement:
             m2 = m @ m
             m3 = m2 @ m
             m4 = m3 @ m
-            object.__setattr__(self, "_powers", (m2, m3, m4, m4 @ m2))
+            _set_powers(self, (m2, m3, m4, m4 @ m2))
         return self._powers
+
+
+_set_m, _set_membership_residual, _set_powers = GroupElement._slot_setters()
 
 
 def validate(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> GroupElement:

@@ -18,13 +18,13 @@ power rules for delta(T^2), delta(T^3), delta(T^6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import MembershipError, NotApplicableError
 from .group import GroupElement, conjugate
 from .mat2h import Mat2H
 from .moebius import DiagonalizationCase, delta, stratum
+from .quaternion import Record
 
 __all__ = [
     "delta_legacy",
@@ -73,15 +73,18 @@ def mat_pow(m: Mat2H, n: int) -> Mat2H:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantReport:
-    tr1: float
-    tr2: float
-    tr3: float
-    tr4: float
-    tr6: float
-    delta: float
-    delta_legacy: Optional[float]
+class InvariantReport(Record):
+    __slots__ = ("tr1", "tr2", "tr3", "tr4", "tr6", "delta", "delta_legacy")
+
+    def __init__(self, tr1: float, tr2: float, tr3: float, tr4: float,
+                 tr6: float, delta: float, delta_legacy: Optional[float]):
+        _set_tr1(self, tr1)
+        _set_tr2(self, tr2)
+        _set_tr3(self, tr3)
+        _set_tr4(self, tr4)
+        _set_tr6(self, tr6)
+        _set_delta(self, delta)
+        _set_delta_legacy(self, delta_legacy)
 
     def to_json(self) -> dict:
         return {
@@ -89,6 +92,10 @@ class InvariantReport:
             "tr4": self.tr4, "tr6": self.tr6, "delta": self.delta,
             "delta_legacy": self.delta_legacy,
         }
+
+
+(_set_tr1, _set_tr2, _set_tr3, _set_tr4, _set_tr6, _set_delta,
+ _set_delta_legacy) = InvariantReport._slot_setters()
 
 
 def report(t: GroupElement) -> InvariantReport:
@@ -109,11 +116,17 @@ def report(t: GroupElement) -> InvariantReport:
 # is only consumed by the similarity-invariance checks.
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityCheck:
-    name: str
-    tol: float
-    fn: Callable[[GroupElement, GroupElement], float]
+class IdentityCheck(Record):
+    __slots__ = ("name", "tol", "fn")
+
+    def __init__(self, name: str, tol: float,
+                 fn: Callable[[GroupElement, GroupElement], float]):
+        _set_name(self, name)
+        _set_tol(self, tol)
+        _set_fn(self, fn)
+
+
+_set_name, _set_tol, _set_fn = IdentityCheck._slot_setters()
 
 
 def _check_delta_via_traces(t: GroupElement, _g: GroupElement) -> float:

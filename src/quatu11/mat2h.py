@@ -10,11 +10,10 @@ eigenvalue work are delegated to numpy through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import SingularMatrixError
-from .quaternion import ONE, ZERO, Quaternion, _mul_add
+from .quaternion import ONE, ZERO, Quaternion, Record, _mul_add
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,18 +31,16 @@ def _entry(value) -> Quaternion:
     raise TypeError(f"matrix entries must be quaternions or reals, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2H:
-    """Matrix [[a, b], [c, d]] with quaternion entries."""
+class Mat2H(Record):
+    """Matrix [[a, b], [c, d]] with quaternion entries; reals coerce."""
 
-    a: Quaternion
-    b: Quaternion
-    c: Quaternion
-    d: Quaternion
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _entry(getattr(self, name)))
+    def __init__(self, a, b, c, d):
+        _set_a(self, _entry(a))
+        _set_b(self, _entry(b))
+        _set_c(self, _entry(c))
+        _set_d(self, _entry(d))
 
     @classmethod
     def identity(cls) -> "Mat2H":
@@ -112,9 +109,6 @@ class Mat2H:
         return _from_quaternions(scalar * self.a, scalar * self.b,
                                  scalar * self.c, scalar * self.d)
 
-    def scale_left(self, scalar) -> "Mat2H":
-        return _entry(scalar) * self
-
     def adjoint(self) -> "Mat2H":
         return _from_quaternions(self.a.conjugate(), self.c.conjugate(),
                                  self.b.conjugate(), self.d.conjugate())
@@ -168,17 +162,13 @@ class Mat2H:
         return bool(smallest <= tol * (1.0 + np.linalg.norm(rep)))
 
 
-_set_a, _set_b, _set_c, _set_d = (Mat2H.__dict__[name].__set__
-                                  for name in ("a", "b", "c", "d"))
+_set_a, _set_b, _set_c, _set_d = Mat2H._slot_setters()
 
 
 def _from_quaternions(a: Quaternion, b: Quaternion,
                       c: Quaternion, d: Quaternion) -> Mat2H:
-    """Mat2H from entries that are already Quaternions, skipping _entry.
-
-    Sets the slots directly; if Mat2H lost slots=True, the descriptor
-    lookup above would fail at import.
-    """
+    """Mat2H from entries that are already Quaternions, skipping _entry
+    and the call through type()."""
     out = object.__new__(Mat2H)
     _set_a(out, a)
     _set_b(out, b)

@@ -1,9 +1,11 @@
-"""Floating-point quaternion scalars.
+"""Floating-point quaternion scalars, and the immutable record base.
 
 A quaternion is w + x*i + y*j + z*k with real components and the Hamilton
 product (i*i == j*j == k*k == i*j*k == -1).  Values are immutable; every
 operation returns a fresh instance.  Real numbers coerce on the side they
 appear on, which is safe because reals are central.
+
+`Record` is the immutable-value base of Quaternion and every value class.
 """
 
 from __future__ import annotations
@@ -28,7 +30,52 @@ __all__ = [
 ]
 
 
-class Quaternion:
+class Record:
+    """Immutable value compared, hashed, shown and pickled by its fields.
+
+    The fields are the subclass's __slots__ except those whose names start
+    with "_", which hold caches.  Assignment is blocked, so each subclass's
+    __init__ sets its slots through the setters `_slot_setters()` returns.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if n[0] != "_")
+
+    @classmethod
+    def _slot_setters(cls) -> tuple:
+        """The __set__ of each slot descriptor, in __slots__ order."""
+        return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # The default slot-state restore assigns through __setattr__.
+        return (self.__class__, self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Quaternion(Record):
     """w + x*i + y*j + z*k; immutable, compared and hashed by components."""
 
     __slots__ = ("w", "x", "y", "z")
@@ -39,29 +86,6 @@ class Quaternion:
         _set_x(self, x)
         _set_y(self, y)
         _set_z(self, z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # The default slot-state restore assigns through __setattr__.
-        return (Quaternion, (self.w, self.x, self.y, self.z))
-
-    def __repr__(self) -> str:
-        return (f"Quaternion(w={self.w!r}, x={self.x!r}, "
-                f"y={self.y!r}, z={self.z!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.w, self.x, self.y, self.z) == \
-            (other.w, other.x, other.y, other.z)
-
-    def __hash__(self) -> int:
-        return hash((self.w, self.x, self.y, self.z))
 
     @classmethod
     def real(cls, value: float) -> "Quaternion":
@@ -204,8 +228,7 @@ def _mul_add(p: Quaternion, r: Quaternion,
     )
 
 
-_set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[name].__set__
-                                  for name in ("w", "x", "y", "z"))
+_set_w, _set_x, _set_y, _set_z = Quaternion._slot_setters()
 _object_new = object.__new__
 
 

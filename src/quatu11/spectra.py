@@ -13,14 +13,13 @@ solved in closed form through one real resolvent cubic (L. Huang, W. So,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NegativeRadicandError, NoRootFoundError
 from .group import GroupElement, _unit_vector
 from .mat2h import Mat2H
 from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
                       stratum)
-from .quaternion import Quaternion
+from .quaternion import Quaternion, Record
 
 SPECTRUM_TOL = 1e-7
 COLLAPSE_TOL = 1e-10
@@ -48,12 +47,14 @@ def _unit_imaginary(rng) -> Quaternion:
     return Quaternion(0.0, *_unit_vector(rng, 3))
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralSphere:
+class SpectralSphere(Record):
     """Similarity class {q : Re q == re, |q| == modulus}."""
 
-    re: float
-    modulus: float
+    __slots__ = ("re", "modulus")
+
+    def __init__(self, re: float, modulus: float):
+        _set_re(self, re)
+        _set_modulus(self, modulus)
 
     def is_point(self, tol: float = 1e-12) -> bool:
         return abs(self.modulus - abs(self.re)) <= tol
@@ -73,9 +74,11 @@ class SpectralSphere:
         return {"re": self.re, "modulus": self.modulus}
 
 
-@dataclass(frozen=True, slots=True)
-class RightSpectrum:
-    spheres: tuple[SpectralSphere, ...]
+class RightSpectrum(Record):
+    __slots__ = ("spheres",)
+
+    def __init__(self, spheres: tuple[SpectralSphere, ...]):
+        _set_spheres(self, spheres)
 
     @classmethod
     def from_pairs(cls, pairs, collapse_tol: float = COLLAPSE_TOL) -> "RightSpectrum":
@@ -109,6 +112,10 @@ class RightSpectrum:
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.spheres]
+
+
+_set_re, _set_modulus = SpectralSphere._slot_setters()
+(_set_spheres,) = RightSpectrum._slot_setters()
 
 
 def _clamped_sqrt(radicand: float) -> float:
@@ -213,16 +220,18 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
 # -- left spectrum ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SphereFamily:
+class SphereFamily(Record):
     """Left-eigenvalue family {alpha + beta * q : q unit imaginary}.
 
     The image is a round 2-sphere; beta fixes its radius and orientation,
     and need not point in an imaginary direction itself.
     """
 
-    alpha: Quaternion
-    beta: Quaternion
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: Quaternion, beta: Quaternion):
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
 
     @property
     def center_re(self) -> float:
@@ -257,14 +266,21 @@ class SphereFamily:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class LeftSpectrumDescription:
-    points: tuple[Quaternion, ...]
-    families: tuple[SphereFamily, ...]
+class LeftSpectrumDescription(Record):
+    __slots__ = ("points", "families")
+
+    def __init__(self, points: tuple[Quaternion, ...],
+                 families: tuple[SphereFamily, ...]):
+        _set_points(self, points)
+        _set_families(self, families)
 
     def to_json(self) -> dict:
         return {"points": [p.as_list() for p in self.points],
                 "families": [f.to_json() for f in self.families]}
+
+
+_set_alpha, _set_beta = SphereFamily._slot_setters()
+_set_points, _set_families = LeftSpectrumDescription._slot_setters()
 
 
 def _quad_residual(q: Quaternion, B: Quaternion, C: Quaternion) -> float:

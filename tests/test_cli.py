@@ -319,3 +319,27 @@ def test_numpy_loads_only_where_it_computes(example_file):
     assert doc["oracle_code"] == 0
     assert doc["after"] is True
     assert json.loads(doc["oracle"])["agrees"] is True
+
+
+NO_DATACLASSES = """
+import contextlib, io, json, sys
+import quatu11.cli
+heavy = ("dataclasses", "inspect")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+for args in (["validate"], ["invariants"], ["classify"],
+             ["apply", "--point", "[0.1, 0.0, 0.0, 0.0]"], ["diagonalize"],
+             ["spectrum", "--kind", "right"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert quatu11.cli.main([*args, sys.argv[1]]) == 0, args
+    loaded[args[0]] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect(example_file):
+    proc = run_python("-c", NO_DATACLASSES, example_file)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert list(loaded) == ["import", "validate", "invariants", "classify",
+                            "apply", "diagonalize", "spectrum"]
+    assert all(names == [] for names in loaded.values()), loaded

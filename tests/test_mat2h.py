@@ -90,7 +90,7 @@ def test_left_scalar_multiplication():
     m = Mat2H(QI, QJ, QK, Quaternion(1.0))
     assert (2.0 * m).a == Quaternion(0.0, 2.0, 0.0, 0.0)
     assert (QJ * m).a == QJ * QI
-    assert m.scale_left(QJ) == QJ * m
+    assert QJ * m == Mat2H(QJ * QI, QJ * QJ, QJ * QK, QJ)
 
 
 def test_adjoint_transposes_and_conjugates():
