@@ -7,7 +7,8 @@ coincides with the right spectrum, so `right_spectrum` serves for both.
 Left eigenvalues are not similarity invariant and are computed entrywise
 from the quadratic q^2 + B q + C == 0 with B = b^-1 (a - d), C = -b^-1 c,
 solved in closed form through one real resolvent cubic (L. Huang, W. So,
-"Quadratic formulas for quaternions", Appl. Math. Lett. 15, 2002).
+"Quadratic formulas for quaternions", Appl. Math. Lett. 15, 2002), whose
+largest real root is itself taken in closed form, without numpy.
 """
 
 from __future__ import annotations
@@ -287,24 +288,68 @@ def _quad_residual(q: Quaternion, B: Quaternion, C: Quaternion) -> float:
     return (q * q + B * q + C).norm()
 
 
-def _largest_resolvent_root(beta: float, gap: float, dd: float) -> float:
-    """Largest real part among the roots of z^3 + 2 beta z^2 + gap z - dd.
+def _newton_step(beta: float, gap: float, dd: float, z: float) -> float:
+    """z after one Newton step on z^3 + 2 beta z^2 + gap z - dd, kept only
+    if the step makes the residual smaller."""
+    f = ((z + 2.0 * beta) * z + gap) * z - dd
+    df = (3.0 * z + 4.0 * beta) * z + gap
+    if df == 0.0:
+        return z
+    step = z - f / df
+    return step if abs(((step + 2.0 * beta) * step + gap) * step - dd) < abs(f) \
+        else z
 
-    The roots are the eigenvalues of the companion matrix with first row
-    (-2 beta, -gap, dd) and ones below the diagonal.  Trailing zero
-    coefficients are first split off as roots z == 0.  Both steps are those
-    of numpy's `roots`, so the result is bit for bit the largest real part
-    it returns, without its wrapper's cost.
+
+def _largest_resolvent_root(beta: float, gap: float, dd: float) -> float:
+    """Largest real root of the Huang-So resolvent
+    f(z) = z^3 + 2 beta z^2 + gap z - dd, with dd >= 0.
+
+    f(0) = -dd <= 0, so the root is at least 0.  The resolvent has
+    gap = beta^2 - 4E <= 0 wherever beta < 0, so by Descartes' rule of
+    signs no other root is positive, and a complex pair has a negative
+    real part.  The shift z = y - 2 beta / 3 leaves y^3 + p y + q == 0,
+    whose real roots have closed trigonometric or hyperbolic forms.  Near a
+    double root those forms are only sqrt(eps)-accurate, so with three real
+    roots they supply only the root r of largest modulus.  After one Newton
+    step on f, the other two roots solve the deflated quadratic
+    z^2 + q1 z + q0 with q0 = dd / r and q1 = (q0 - gap) / r, which matches
+    f's two lowest coefficients exactly, so its roots are as accurate as
+    f(r) is small (W. Kahan, "To solve a real cubic equation", 1986).
     """
-    import numpy as np
-    row = [-2.0 * beta, -gap, dd]
-    split = []
-    while row and row[-1] == 0.0:
-        row.pop()
-        split.append(0.0)
-    companion = np.eye(len(row), k=-1)
-    companion[:1] = row  # no rows at all when every coefficient is zero
-    return float(max([*np.linalg.eigvals(companion).real, *split]))
+    shift = 2.0 * beta / 3.0
+    p = gap - 3.0 * shift * shift
+    q = shift * (2.0 * shift * shift - gap) - dd
+    if p < 0.0:
+        s = math.sqrt(-p / 3.0)
+        h = -q / (2.0 * s * s * s)
+        if h > 1.0:
+            # One real root, not below 0 since f(0) = -dd <= 0.
+            y = 2.0 * s * math.cosh(math.acosh(h) / 3.0)
+        else:
+            # Three real roots.  h < -1 would leave one real root, below
+            # zero for this resolvent, which f(0) <= 0 rules out, so it is
+            # roundoff on a double root.
+            phi = math.acos(max(h, -1.0)) / 3.0
+            top = 2.0 * s * math.cos(phi) - shift
+            bottom = 2.0 * s * math.cos(phi + 2.0 * math.pi / 3.0) - shift
+            r = _newton_step(beta, gap, dd,
+                             top if top + bottom >= 0.0 else bottom)
+            q0 = dd / r
+            q1 = (q0 - gap) / r
+            disc = q1 * q1 - 4.0 * q0
+            if disc < 0.0:
+                return r
+            # The quadratic formula without cancellation between -q1 and
+            # the square root; t == 0 only at the double root 0.
+            t = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
+            return max(r, t, q0 / t if t != 0.0 else 0.0)
+    elif p == 0.0:
+        y = -math.copysign(abs(q) ** (1.0 / 3.0), q)
+    else:
+        # f increases everywhere: one real root.
+        s = math.sqrt(p / 3.0)
+        y = -2.0 * s * math.sinh(math.asinh(q / (2.0 * s * s * s)) / 3.0)
+    return _newton_step(beta, gap, dd, y - shift)
 
 
 def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
@@ -329,7 +374,7 @@ def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
     if D == 0.0:
         z = 2.0 * c.norm() - beta
     else:
-        # The root of largest real part is the one with z + beta > 0.
+        # The largest real root, its only positive one, has z + beta > 0.
         z = _largest_resolvent_root(beta, gap, D * D)
     if z > DOUBLE_ROOT_TOL * size:
         pairs = [(t, 0.5 * (z + beta + D / t))

@@ -14,6 +14,8 @@ import pytest
 
 from quatu11.cli import main
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 R2 = math.sqrt(2)
@@ -291,9 +293,9 @@ def test_pretty_flag_is_cosmetic(example_file):
 NUMPY_BOUNDARY = """
 import contextlib, io, json, sys
 import quatu11, quatu11.cli
-path = sys.argv[1]
+example, loxodromic = sys.argv[1:]
 
-def call(*args):
+def call(*args, path=example):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = quatu11.cli.main([*args, path])
@@ -303,18 +305,24 @@ codes = [call(*args)[0] for args in (
     ["validate"], ["invariants"], ["classify"],
     ["apply", "--point", "[0.1, 0.0, 0.0, 0.0]"], ["diagonalize"],
     ["spectrum", "--kind", "right"])]
+# D != 0 here, so the left spectrum solves the resolvent cubic
+code, left = call("spectrum", "--kind", "left", path=loxodromic)
+codes.append(code)
 before = "numpy" in sys.modules
 code, oracle = call("spectrum", "--oracle")
 print(json.dumps({"codes": codes, "before": before, "oracle_code": code,
-                  "after": "numpy" in sys.modules, "oracle": oracle}))
+                  "after": "numpy" in sys.modules, "oracle": oracle,
+                  "left": left}))
 """
 
 
 def test_numpy_loads_only_where_it_computes(example_file):
-    proc = run_python("-c", NUMPY_BOUNDARY, example_file)
+    proc = run_python("-c", NUMPY_BOUNDARY, example_file,
+                      str(GOLDEN / "CompoundLoxodromic.json"))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0] * 6
+    assert doc["codes"] == [0] * 7
+    assert len(json.loads(doc["left"])["points"]) == 2
     assert doc["before"] is False
     assert doc["oracle_code"] == 0
     assert doc["after"] is True

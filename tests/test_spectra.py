@@ -1,9 +1,12 @@
 """Right/S/left spectra: closed forms, the chi oracle, and golden spheres."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, RightSpectrum,
                      SpectralSphere, classify, inverse_u11, left_eigenvalues,
@@ -212,12 +215,60 @@ def test_left_eigenvalues_builds_no_chi(class_pool, generic_pool, monkeypatch):
     assert len(calls) == 0
 
 
-def test_resolvent_companion_matches_np_roots(class_pool, generic_pool,
-                                              monkeypatch):
-    # the resolvent root comes from eigvals of the companion matrix that
-    # np.roots builds; pin it to np.roots bit for bit on every (beta, gap,
-    # D*D) the left spectrum meets, and where D*D underflows to 0.0 and
-    # np.roots splits off the zero root before building a smaller matrix
+def _sturm_chain(coeffs):
+    """Sturm sequence of the polynomial with these exact coefficients,
+    highest degree first."""
+    degree = len(coeffs) - 1
+    chain = [coeffs, [c * (degree - k) for k, c in enumerate(coeffs[:-1])]]
+    while True:
+        rem, div = list(chain[-2]), chain[-1]
+        while rem and len(rem) >= len(div):
+            k = rem[0] / div[0]
+            rem = [r - k * d for r, d in zip(rem[1:], div[1:] + [0] * len(rem))]
+            while rem and rem[0] == 0:
+                rem.pop(0)
+        if not rem:
+            return chain
+        chain.append([-r for r in rem])
+
+
+def _sign_changes(chain, x):
+    """Sign changes along the chain at x, or at +infinity for x None."""
+    values = []
+    for poly in chain:
+        value = poly[0]
+        if x is not None:
+            for c in poly[1:]:
+                value = value * x + c
+        if value != 0:
+            values.append(value > 0)
+    return sum(a != b for a, b in zip(values, values[1:]))
+
+
+def _assert_largest_root(beta, gap, dd, z):
+    """In exact rational arithmetic, a root of z^3 + 2 beta z^2 + gap z - dd
+    lies within 4 eps * size of z, and within 4 eps * z when z is above the
+    double-root threshold, and no root lies beyond that reach."""
+    coeffs = [Fraction(1), 2 * Fraction(beta), Fraction(gap), -Fraction(dd)]
+    chain = _sturm_chain(coeffs)
+    size = abs(beta) + math.sqrt(abs(gap)) + dd ** (1.0 / 3.0)
+    scales = [size, z] if z > spectra.DOUBLE_ROOT_TOL * size else [size]
+    for scale in scales:
+        reach = Fraction(4.0 * sys.float_info.epsilon * scale)
+        lo, hi = Fraction(z) - reach, Fraction(z) + reach
+        at_lo = ((lo + coeffs[1]) * lo + coeffs[2]) * lo + coeffs[3] == 0
+        assert at_lo or _sign_changes(chain, lo) > _sign_changes(chain, hi), \
+            (beta, gap, dd, z, scale)
+        assert _sign_changes(chain, hi) == _sign_changes(chain, None), \
+            (beta, gap, dd, z, scale)
+
+
+def test_resolvent_root_is_the_largest_real_root(class_pool, generic_pool,
+                                                 monkeypatch):
+    # on every (beta, gap, D*D) the left spectrum meets, and where D*D
+    # underflows to 0.0: a root within 4 eps * size, none above it, at
+    # least np.roots' largest real part, and on the same side of the
+    # double-root threshold as np.roots' root
     triples = []
     largest = spectra._largest_resolvent_root
 
@@ -234,10 +285,47 @@ def test_resolvent_companion_matches_np_roots(class_pool, generic_pool,
                                  Quaternion(c0, 1e-170, 0.8, -0.3))
     assert pool_triples > 300
     assert all(dd == 0.0 for _, _, dd in triples[pool_triples:])
-    triples += [(1.5, 0.0, 0.0), (-1.5, 0.0, 0.0), (0.0, 0.0, 0.0)]
+    triples += [(1.5, 0.0, 0.0), (-1.5, 0.0, 0.0), (0.0, 0.0, 0.0),
+                # a near-double root of largest modulus, on which a Newton
+                # step not checked against the residual overshoots
+                (4.23789898471497e-28, 1.795978780446857e-55,
+                 7.611176650415643e-94)]
     for beta, gap, dd in triples:
-        expected = float(max(np.roots([1.0, 2.0 * beta, gap, -dd]).real))
-        assert largest(beta, gap, dd).hex() == expected.hex()
+        z = largest(beta, gap, dd)
+        _assert_largest_root(beta, gap, dd, z)
+        size = abs(beta) + math.sqrt(abs(gap)) + dd ** (1.0 / 3.0)
+        lapack = float(max(np.roots([1.0, 2.0 * beta, gap, -dd]).real))
+        assert z >= lapack - 1e-12 * size
+        threshold = spectra.DOUBLE_ROOT_TOL * size
+        assert (z > threshold) == (lapack > threshold)
+
+
+_exponents = st.integers(min_value=0, max_value=25)
+
+
+@settings(deadline=None, max_examples=300)
+@given(scale=st.integers(min_value=-30, max_value=30),
+       z1=_exponents, pair_a=_exponents, pair_b=_exponents,
+       mantissas=st.tuples(*[st.floats(1.0, 10.0)] * 3),
+       complex_pair=st.booleans())
+def test_resolvent_root_from_chosen_roots(scale, z1, pair_a, pair_b,
+                                          mantissas, complex_pair):
+    # a positive root with two negative roots or a complex pair -a +- i b,
+    # as the Huang-So resolvent has for D != 0; each of modulus
+    # 10**(scale - exponent), so near-double and near-triple roots at 0
+    # occur wherever the exponents differ
+    m1, ma, mb = (Fraction(m) for m in mantissas)
+    root, a, b = (m * Fraction(10) ** (scale - e)
+                  for m, e in ((m1, z1), (ma, pair_a), (mb, pair_b)))
+    if complex_pair:
+        pair_sum, pair_product = -2 * a, a * a + b * b
+    else:
+        pair_sum, pair_product = -a - b, a * b
+    beta = float(-(root + pair_sum) / 2)
+    gap = float(root * pair_sum + pair_product)
+    dd = float(root * pair_product)
+    _assert_largest_root(beta, gap, dd,
+                         spectra._largest_resolvent_root(beta, gap, dd))
 
 
 def test_left_spectrum_json_shape():
