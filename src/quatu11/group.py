@@ -108,12 +108,13 @@ def is_member(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> bool:
 class GroupElement(Record):
     """A membership-checked matrix together with its residual."""
 
-    __slots__ = ("m", "membership_residual", "_powers")
+    __slots__ = ("m", "membership_residual", "_powers", "_conjugate")
 
     def __init__(self, m: Mat2H, membership_residual: float):
         _set_m(self, m)
         _set_membership_residual(self, membership_residual)
         _set_powers(self, None)
+        _set_conjugate(self, None)
 
     def powers(self) -> tuple[Mat2H, Mat2H, Mat2H, Mat2H]:
         """T^2, T^3, T^4 and T^6 from four products, formed on first use."""
@@ -126,7 +127,8 @@ class GroupElement(Record):
         return self._powers
 
 
-_set_m, _set_membership_residual, _set_powers = GroupElement._slot_setters()
+(_set_m, _set_membership_residual, _set_powers,
+ _set_conjugate) = GroupElement._slot_setters()
 
 
 def validate(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> GroupElement:
@@ -151,12 +153,18 @@ def inverse_u11(t: GroupElement) -> GroupElement:
 
 def conjugate(t: GroupElement, g: GroupElement,
               tol: float = MEMBERSHIP_TOL) -> GroupElement:
-    product = g.m @ t.m @ _j_adjoint(g.m)
-    residual = membership_residual(product)
+    """G T G^-1; t keeps it with g, so a second call with the same g object
+    reuses it.  The drift check (residual <= 100 tol) runs on every call."""
+    cached = t._conjugate
+    if cached is None or cached[0] is not g:
+        product = g.m @ t.m @ _j_adjoint(g.m)
+        cached = (g, GroupElement(product, membership_residual(product)))
+        _set_conjugate(t, cached)
+    residual = cached[1].membership_residual
     if not residual <= 100.0 * tol:
         raise MembershipDriftError(
             f"conjugation drifted off the group: residual {residual:.3e}")
-    return GroupElement(product, residual)
+    return cached[1]
 
 
 # -- random sampling ------------------------------------------------------
@@ -169,7 +177,7 @@ def _unit_vector(rng, k: int) -> list[float]:
     while n < 1e-6:
         v = rng.standard_normal(k)
         n = math.sqrt(float(v.dot(v)))
-    return [float(p) / n for p in v]
+    return [p / n for p in v.tolist()]
 
 
 def _unit_quaternion(rng) -> Quaternion:
@@ -196,15 +204,23 @@ def _boost_parameter(rng, floor: float = 0.0) -> float:
     return min(abs(float(rng.standard_normal())) + floor, 2.25)
 
 
-def _generic(rng) -> Mat2H:
-    left = Mat2H.diag(_unit_quaternion(rng), _unit_quaternion(rng))
-    right = Mat2H.diag(_unit_quaternion(rng), _unit_quaternion(rng))
-    return left @ _boost(_boost_parameter(rng)) @ right
+def _sandwich(p: Quaternion, q: Quaternion, m: Mat2H,
+              r: Quaternion, s: Quaternion) -> Mat2H:
+    """diag(p, q) m diag(r, s) as (p m.a) r, (p m.b) s, (q m.c) r, (q m.d) s;
+    the two matmuls would also add a product with a zero entry, which for
+    finite entries flips at most the sign of an exact zero, so == holds."""
+    return _from_quaternions((p * m.a) * r, (p * m.b) * s,
+                             (q * m.c) * r, (q * m.d) * s)
+
+
+def _generic(rng, floor: float = 0.0) -> Mat2H:
+    p, q, r, s = (_unit_quaternion(rng) for _ in range(4))
+    return _sandwich(p, q, _boost(_boost_parameter(rng, floor)), r, s)
 
 
 def _diag_unit_conjugate(rng, base: Mat2H) -> Mat2H:
-    g = Mat2H.diag(_unit_quaternion(rng), _unit_quaternion(rng))
-    return g @ base @ g.adjoint()
+    p, q = _unit_quaternion(rng), _unit_quaternion(rng)
+    return _sandwich(p, q, base, p.conjugate(), q.conjugate())
 
 
 def _parabolic_base(rng) -> Mat2H:
@@ -250,16 +266,12 @@ def _candidate(rng, hint: str | None) -> Mat2H:
             dlt = (sh * kappa1) ** 2 - (ch * kappa2) ** 2
             slope = 2.0 * sh * ch * (kappa1 ** 2 - kappa2 ** 2)
             t -= dlt / slope
-        left = Mat2H.diag(u1, u2)
-        right = Mat2H.diag(u3, u4)
-        return left @ _boost(t) @ right
+        return _sandwich(u1, u2, _boost(t), u3, u4)
     elif hint == "SimpleLoxodromic":
         sign = -1.0 if rng.random() < 0.5 else 1.0
         return _diag_unit_conjugate(rng, sign * _boost(_boost_parameter(rng, 0.3)))
     elif hint == "CompoundLoxodromic":
-        left = Mat2H.diag(_unit_quaternion(rng), _unit_quaternion(rng))
-        right = Mat2H.diag(_unit_quaternion(rng), _unit_quaternion(rng))
-        return left @ _boost(_boost_parameter(rng, 0.3)) @ right
+        return _generic(rng, 0.3)
     else:
         raise ValueError(f"unknown class hint {hint!r}")
     conjugator = _generic(rng)

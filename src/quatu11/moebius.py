@@ -15,6 +15,7 @@ together with d0 = Re d and delta(T) = |b - conj(c)|^2 - (Re a - Re d)^2:
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .errors import BallViolationError, MembershipError, PoleError
@@ -68,8 +69,15 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
     return image
 
 
+def _b_minus_conj_c_sq(m: Mat2H) -> float:
+    """(m.b - m.c.conjugate()).norm_sq() bit for bit; x - (-y) is x + y."""
+    b, c = m.b, m.c
+    w, x, y, z = b.w - c.w, b.x + c.x, b.y + c.y, b.z + c.z
+    return w * w + x * x + y * y + z * z
+
+
 def delta(m: Mat2H) -> float:
-    return (m.b - m.c.conjugate()).norm_sq() - (m.a.w - m.d.w) ** 2
+    return _b_minus_conj_c_sq(m) - (m.a.w - m.d.w) ** 2
 
 
 def stratum(t: GroupElement) -> tuple[DiagonalizationCase, MoebiusClass]:
@@ -85,7 +93,7 @@ def stratum(t: GroupElement) -> tuple[DiagonalizationCase, MoebiusClass]:
     if b_zero or c_zero:
         raise MembershipError(
             "exactly one off-diagonal entry is zero; |b| == |c| fails")
-    if (m.b - m.c.conjugate()).norm() <= eps:
+    if math.sqrt(_b_minus_conj_c_sq(m)) <= eps:
         gap = m.d.w * m.d.w - 1.0
         if abs(gap) <= EPS_CLASS:
             return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_PARABOLIC
@@ -114,7 +122,7 @@ def evidence(t: GroupElement) -> dict:
     return {
         "a0": m.a.w,
         "d0": m.d.w,
-        "b_minus_conj_c_norm": (m.b - m.c.conjugate()).norm(),
+        "b_minus_conj_c_norm": math.sqrt(_b_minus_conj_c_sq(m)),
         "b_norm": m.b.norm(),
         "c_norm": m.c.norm(),
         "delta": delta(m),

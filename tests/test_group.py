@@ -2,13 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quatu11 import (J, Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
                      inverse_u11, is_member, membership_residual,
                      random_element, validate)
-from quatu11.errors import HintExhaustedError, MembershipError
+from quatu11.errors import (HintExhaustedError, MembershipDriftError,
+                            MembershipError)
+from quatu11.group import (_boost, _boost_parameter, _candidate, _j_adjoint,
+                           _parabolic_base, _sandwich)
 from quatu11.moebius import classify
 
 R2 = math.sqrt(2)
@@ -156,6 +160,148 @@ def test_known_conjugator_diagonalizes_the_example(example):
     got = conjugate(example, x)
     want = Mat2H.diag(Quaternion(1.0), -QI)
     assert (got.m - want).frobenius() < 1e-12
+
+
+def test_conjugate_is_formed_once_per_pair(generic_pool):
+    t, g, h = validate(generic_pool[3].m), generic_pool[4], generic_pool[5]
+    first = conjugate(t, g)
+    assert conjugate(t, g) is first
+    assert first.m == g.m @ t.m @ inverse_u11(g).m
+    # an equal but distinct g is a miss too; the cache goes by identity
+    twin = validate(g.m)
+    assert twin == g
+    again = conjugate(t, twin)
+    assert again is not first and again == first
+    other = conjugate(t, h)
+    assert other is not again
+    assert other.m == h.m @ t.m @ inverse_u11(h).m
+
+
+def test_conjugate_cache_hit_still_checks_drift(generic_pool):
+    t, g = validate(generic_pool[6].m), generic_pool[7]
+    residual = conjugate(t, g).membership_residual
+    assert residual > 0.0
+    with pytest.raises(MembershipDriftError):
+        conjugate(t, g, tol=residual / 1000.0)
+    assert conjugate(t, g).membership_residual == residual
+
+
+# -- the sampler against the matmul route it replaced ----------------------
+
+
+def _matmul_unit_quaternion(rng) -> Quaternion:
+    v = rng.standard_normal(4)
+    n = math.sqrt(float(v.dot(v)))
+    while n < 1e-6:
+        v = rng.standard_normal(4)
+        n = math.sqrt(float(v.dot(v)))
+    return Quaternion(*[float(p) / n for p in v])
+
+
+def _matmul_bounded_unit(rng) -> Quaternion:
+    u = _matmul_unit_quaternion(rng)
+    while abs(u.w) > 0.9:
+        u = _matmul_unit_quaternion(rng)
+    return u
+
+
+def _matmul_generic(rng, floor: float = 0.0) -> Mat2H:
+    left = Mat2H.diag(_matmul_unit_quaternion(rng),
+                      _matmul_unit_quaternion(rng))
+    right = Mat2H.diag(_matmul_unit_quaternion(rng),
+                       _matmul_unit_quaternion(rng))
+    return left @ _boost(_boost_parameter(rng, floor)) @ right
+
+
+def _matmul_diag_unit_conjugate(rng, base: Mat2H) -> Mat2H:
+    g = Mat2H.diag(_matmul_unit_quaternion(rng), _matmul_unit_quaternion(rng))
+    return g @ base @ g.adjoint()
+
+
+def _matmul_candidate(rng, hint):
+    """The sampler's candidate as full 2x2 products formed it, draw by draw."""
+    if hint is None:
+        return _matmul_generic(rng)
+    if hint == "SimpleElliptic":
+        u = _matmul_bounded_unit(rng)
+        g = _matmul_unit_quaternion(rng)
+        base = Mat2H.diag(u, g * u * g.conjugate())
+    elif hint == "CompoundElliptic":
+        u = _matmul_bounded_unit(rng)
+        v = _matmul_bounded_unit(rng)
+        while abs(u.w - v.w) < 0.1:
+            v = _matmul_bounded_unit(rng)
+        base = Mat2H.diag(u, v)
+    elif hint == "SimpleParabolic":
+        return _matmul_diag_unit_conjugate(rng, _parabolic_base(rng))
+    elif hint == "CompoundParabolic":
+        while True:
+            u1, u2, u3, u4 = (_matmul_unit_quaternion(rng) for _ in range(4))
+            kappa1 = (u1 * u4 - (u2 * u3).conjugate()).norm()
+            kappa2 = abs((u1 * u3).w - (u2 * u4).w)
+            if kappa1 > 1e-3 and 0.05 <= kappa2 / kappa1 <= 0.95:
+                break
+        t = math.atanh(kappa2 / kappa1)
+        for _ in range(2):
+            sh, ch = math.sinh(t), math.cosh(t)
+            dlt = (sh * kappa1) ** 2 - (ch * kappa2) ** 2
+            t -= dlt / (2.0 * sh * ch * (kappa1 ** 2 - kappa2 ** 2))
+        return Mat2H.diag(u1, u2) @ _boost(t) @ Mat2H.diag(u3, u4)
+    elif hint == "SimpleLoxodromic":
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        return _matmul_diag_unit_conjugate(
+            rng, sign * _boost(_boost_parameter(rng, 0.3)))
+    else:
+        assert hint == "CompoundLoxodromic"
+        return _matmul_generic(rng, 0.3)
+    conjugator = _matmul_generic(rng)
+    return conjugator @ base @ _j_adjoint(conjugator)
+
+
+@pytest.mark.parametrize("hint", [None] + [c.value for c in MoebiusClass])
+def test_sampler_keeps_the_bits_of_the_matmul_route(hint):
+    # repr prints each float as its shortest exact round trip, so a sign of
+    # zero that moved would show; the twin generators must also stay in step.
+    for seed in range(200):
+        rng = np.random.default_rng([97, seed])
+        twin = np.random.default_rng([97, seed])
+        for _ in range(2):  # the second candidate follows a rejection
+            assert repr(_candidate(rng, hint)) == \
+                repr(_matmul_candidate(twin, hint))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+unit_parts = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def unit_quaternions(draw):
+    q = Quaternion(*(draw(unit_parts) for _ in range(4)))
+    assume(q.norm() > 1e-3)
+    return q.normalized()
+
+
+def _parabolic(mu: float, sign: float) -> Mat2H:
+    return sign * Mat2H(Quaternion(1.0, mu), Quaternion(0.0, -mu),
+                        Quaternion(0.0, mu), Quaternion(1.0, -mu))
+
+
+middles = st.one_of(
+    st.floats(min_value=0.0, max_value=2.25).map(_boost),
+    st.builds(_parabolic, st.floats(min_value=-4.0, max_value=4.0),
+              st.sampled_from([-1.0, 1.0])))
+
+
+@settings(deadline=None)
+@given(p=unit_quaternions(), q=unit_quaternions(), m=middles,
+       r=unit_quaternions(), s=unit_quaternions())
+def test_sandwich_equals_the_two_matmuls(p, q, m, r, s):
+    # == on floats ignores the sign of zero, and that sign is all the two
+    # routes may differ in: the matmuls add a signed zero to each component.
+    want = Mat2H.diag(p, q) @ m @ Mat2H.diag(r, s)
+    assert _sandwich(p, q, m, r, s) == want
+    assert _sandwich(p, q, m, p.conjugate(), q.conjugate()) == \
+        Mat2H.diag(p, q) @ m @ Mat2H.diag(p, q).adjoint()
 
 
 def test_random_element_is_deterministic():

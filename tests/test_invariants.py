@@ -87,8 +87,9 @@ def test_identity_checks_form_each_product_once(monkeypatch):
     monkeypatch.setattr(Mat2H, "__matmul__", counted)
     for check in IDENTITY_CHECKS:
         check.fn(t, g)
-    # four for T^2, T^3, T^4, T^6 and two for each of the two conjugations
-    assert products == 8
+    # four for T^2, T^3, T^4, T^6 and two for the one conjugation G T G^-1,
+    # which delta_similarity and trace_similarity share
+    assert products == 6
 
 
 def test_report_fields(example):

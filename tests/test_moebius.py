@@ -1,5 +1,6 @@
 """Ball action and the six-way classification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
                      right_spectrum_casewise, validate)
 from quatu11.errors import MembershipError
 from quatu11.group import GroupElement
-from quatu11.moebius import apply, classify, evidence
+from quatu11.moebius import apply, classify, delta, evidence
 
 R2 = math.sqrt(2)
 
@@ -74,6 +75,39 @@ def test_evidence_reports_the_dispatch_data(example):
     assert ev["delta"] == pytest.approx(-1.0, abs=1e-12)
     assert ev["b_minus_conj_c_norm"] == pytest.approx(2.0 * R2)
     assert set(ev) == {"a0", "d0", "b_minus_conj_c_norm", "b_norm", "c_norm", "delta"}
+
+
+def _delta_by_quaternions(m: Mat2H) -> float:
+    return (m.b - m.c.conjugate()).norm_sq() - (m.a.w - m.d.w) ** 2
+
+
+def _delta_samples(class_pool):
+    for pool in class_pool.values():
+        yield from (t.m for t in pool)
+    rng = np.random.default_rng(73)
+    for scale in (10.0 ** k for k in range(-6, 7)):
+        for _ in range(10):
+            parts = (rng.standard_normal(16) * scale).tolist()
+            yield Mat2H(*(Quaternion(*parts[i:i + 4]) for i in (0, 4, 8, 12)))
+    # b and c built from signed zeros and one nonzero value, a and d real
+    for bits in itertools.product((0.0, -0.0, 1.5), repeat=4):
+        b = Quaternion(bits[0], bits[1], -0.0, bits[2])
+        c = Quaternion(bits[3], -bits[1], bits[2], 0.0)
+        yield Mat2H(Quaternion(bits[0]), b, c, Quaternion(-bits[3]))
+
+
+def test_delta_matches_the_quaternion_route_bit_for_bit(class_pool):
+    count = 0
+    for m in _delta_samples(class_pool):
+        assert delta(m).hex() == _delta_by_quaternions(m).hex(), m
+        count += 1
+    assert count == 36 + 130 + 81
+
+
+def test_evidence_gap_matches_the_quaternion_route(class_pool):
+    for t in (t for pool in class_pool.values() for t in pool):
+        got = evidence(t)["b_minus_conj_c_norm"]
+        assert got.hex() == (t.m.b - t.m.c.conjugate()).norm().hex()
 
 
 def test_apply_golden_value():

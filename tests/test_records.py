@@ -9,16 +9,18 @@ import pytest
 from quatu11 import (DiagonalizationCase, DiagonalizationResult,
                      GroupElement, InvariantReport, LeftSpectrumDescription,
                      Mat2H, QI, QJ, QK, Quaternion, RightSpectrum,
-                     SpectralSphere, SphereFamily, diagonalize_elliptic,
-                     left_eigenvalues, report, right_spectrum, validate)
+                     SpectralSphere, SphereFamily, conjugate,
+                     diagonalize_elliptic, inverse_u11, left_eigenvalues,
+                     report, right_spectrum, validate)
 from quatu11.invariants import IDENTITY_CHECKS, IdentityCheck
 
 ODD = Quaternion(-0.0, 1.0 / 3.0, 2.5, -1e-300)
 
 
-def _with_powers(t):
+def _with_caches(t):
     t = validate(t.m)
-    t.powers()  # fill the cache, which must stay invisible
+    t.powers()  # fill both caches, which must stay invisible
+    conjugate(t, inverse_u11(t))
     return t
 
 
@@ -28,7 +30,7 @@ RECORDS = {
     Quaternion: (("w", "x", "y", "z"), lambda t: ODD, lambda: QI),
     Mat2H: (("a", "b", "c", "d"), lambda t: Mat2H(ODD, QI, -0.0, 2),
             lambda: Mat2H(ODD, QI, QJ, 2)),
-    GroupElement: (("m", "membership_residual"), _with_powers,
+    GroupElement: (("m", "membership_residual"), _with_caches,
                    lambda: validate(Mat2H.identity())),
     SpectralSphere: (("re", "modulus"), lambda t: SpectralSphere(0.5, 1.0),
                      lambda: SpectralSphere(0.5, 2.0)),
@@ -119,12 +121,29 @@ def test_copies_keep_every_bit(cls, copier, example):
 
 
 def test_group_element_ignores_its_power_cache(example):
-    fresh, cached = validate(example.m), _with_powers(example)
+    fresh, cached = validate(example.m), _with_caches(example)
     assert fresh == cached and hash(fresh) == hash(cached)
     assert repr(fresh) == repr(cached)
     assert "_powers" not in repr(cached)
     copied = pickle.loads(pickle.dumps(cached))
     assert copied.powers() == cached.powers()
+
+
+@pytest.mark.parametrize("copier", [
+    lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"])
+def test_group_element_ignores_its_conjugate_cache(copier, example):
+    g = inverse_u11(example)
+    fresh, cached = validate(example.m), validate(example.m)
+    image = conjugate(cached, g)
+    assert cached._conjugate == (g, image)
+    assert fresh == cached and hash(fresh) == hash(cached)
+    assert repr(fresh) == repr(cached)
+    assert "_conjugate" not in repr(cached)
+    copied = copier(cached)
+    assert copied._conjugate is None
+    assert repr(copied) == repr(cached)
+    assert conjugate(copied, g) == image
 
 
 def test_claim_residual_defaults_to_zero():
