@@ -8,14 +8,19 @@ Left eigenvalues are not similarity invariant and are computed entrywise
 from the quadratic q^2 + B q + C == 0 with B = b^-1 (a - d), C = -b^-1 c,
 solved in closed form through one real resolvent cubic (L. Huang, W. So,
 "Quadratic formulas for quaternions", Appl. Math. Lett. 15, 2002), whose
-largest real root is itself taken in closed form, without numpy.
+largest real root is itself taken in closed form, without numpy.  The
+left-spectrum kernel runs on the matrix's 16 float components and builds a
+Quaternion only for what it returns; each sum keeps the operation order of
+the Quaternion formulas, and tests/test_spectra.py pins its output bit for
+bit to those formulas written with Quaternion operations.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NegativeRadicandError, NoRootFoundError
+from .errors import (NegativeRadicandError, NoRootFoundError,
+                     NotApplicableError)
 from .group import GroupElement, _unit_vector
 from .mat2h import Mat2H
 from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
@@ -284,10 +289,6 @@ _set_alpha, _set_beta = SphereFamily._slot_setters()
 _set_points, _set_families = LeftSpectrumDescription._slot_setters()
 
 
-def _quad_residual(q: Quaternion, B: Quaternion, C: Quaternion) -> float:
-    return (q * q + B * q + C).norm()
-
-
 def _newton_step(beta: float, gap: float, dd: float, z: float) -> float:
     """z after one Newton step on z^3 + 2 beta z^2 + gap z - dd, kept only
     if the step makes the residual smaller."""
@@ -352,8 +353,25 @@ def _largest_resolvent_root(beta: float, gap: float, dd: float) -> float:
     return _newton_step(beta, gap, dd, y - shift)
 
 
-def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
-    """Roots of q^2 + B q + C == 0 for B, C not both real (Huang and So).
+def _quad_residual(q: tuple, B: tuple, C: tuple) -> float:
+    """|q^2 + B q + C| for quaternions given as (w, x, y, z) tuples, summed
+    in the order Quaternion.__mul__, __add__ and norm sum."""
+    qw, qx, qy, qz = q
+    bw, bx, by, bz = B
+    w = ((qw * qw - qx * qx - qy * qy - qz * qz)
+         + (bw * qw - bx * qx - by * qy - bz * qz)) + C[0]
+    x = ((qw * qx + qx * qw + qy * qz - qz * qy)
+         + (bw * qx + bx * qw + by * qz - bz * qy)) + C[1]
+    y = ((qw * qy - qx * qz + qy * qw + qz * qx)
+         + (bw * qy - bx * qz + by * qw + bz * qx)) + C[2]
+    z = ((qw * qz + qx * qy - qy * qx + qz * qw)
+         + (bw * qz + bx * qy - by * qx + bz * qw)) + C[3]
+    return math.sqrt(w * w + x * x + y * y + z * z)
+
+
+def _quadratic_roots(B: tuple, C: tuple) -> list[tuple]:
+    """Roots of q^2 + B q + C == 0 for B, C not both real (Huang and So),
+    each quaternion a (w, x, y, z) tuple.
 
     The shift q = y - Re(B)/2 leaves y^2 + b y + c == 0 with b = Im B.  Every
     root also solves y^2 - T y + N == 0 with T = 2 Re y and N = |y|^2, so
@@ -361,18 +379,26 @@ def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
     z^3 + 2 beta z^2 + (beta^2 - 4E) z - D^2 == 0 in z = T^2, where
     beta = |b|^2 + 2 Re c, E = |c|^2 and D = 2 <b, Im c>.
     """
-    b = B.imag()
-    c = C - 0.25 * B.w * B.w - b * (0.5 * B.w)
-    nb2 = b.norm_sq()
-    beta = nb2 + 2.0 * c.w
-    D = 2.0 * b.dot(c)
+    Bw, bx, by, bz = B
+    Cw, Cx, Cy, Cz = C
+    h = 0.5 * Bw
+    # c = C - B0^2 / 4 - b B0 / 2.  Quaternion.__sub__ pads a real term with
+    # zero parts and b has real part 0.0, so c0 takes a - 0.0 * h, which
+    # fixes the sign of a zero c0.
+    cw = (Cw - 0.25 * Bw * Bw) - 0.0 * h
+    cx, cy, cz = Cx - bx * h, Cy - by * h, Cz - bz * h
+    nb2 = bx * bx + by * by + bz * bz
+    beta = nb2 + 2.0 * cw
+    # 2 <b, c>, as Quaternion.dot sums it from b's zero real part on
+    D = 2.0 * (0.0 * cw + bx * cx + by * cy + bz * cz)
     # beta^2 - 4E with the Re(c)^2 terms cancelled by hand: the direct
     # difference loses every digit when B and C are nearly real.
-    gap = nb2 * nb2 + 4.0 * c.w * nb2 - 4.0 * c.imag().norm_sq()
+    gap = nb2 * nb2 + 4.0 * cw * nb2 - 4.0 * (cx * cx + cy * cy + cz * cz)
     # z and N are of the size of |b|^2 + 2|c|, gap of its square.
-    size = nb2 + 2.0 * c.norm()
+    norm_c = math.sqrt(cw * cw + cx * cx + cy * cy + cz * cz)
+    size = nb2 + 2.0 * norm_c
     if D == 0.0:
-        z = 2.0 * c.norm() - beta
+        z = 2.0 * norm_c - beta
     else:
         # The largest real root, its only positive one, has z + beta > 0.
         z = _largest_resolvent_root(beta, gap, D * D)
@@ -384,8 +410,24 @@ def _quadratic_roots(B: Quaternion, C: Quaternion) -> list[Quaternion]:
         # their square roots would split it into two points ~1e-8 apart.
         root = math.sqrt(gap) if gap > DOUBLE_ROOT_TOL * size * size else 0.0
         pairs = [(0.0, 0.5 * (beta + root)), (0.0, 0.5 * (beta - root))]
-    return [(b + t).inverse() * (n - c) - 0.5 * B.w
-            for t, n in pairs if t != 0.0 or nb2 > 0.0]
+    roots = []
+    for t, n in pairs:
+        if t == 0.0 and not nb2 > 0.0:
+            continue
+        # y = (b + T)^-1 (N - c).  The real T and N are padded with zero
+        # parts, so b + T turns a -0.0 part of b into +0.0, and N - c
+        # negates c's imaginary parts as 0.0 - x, which is +0.0 at x == 0.
+        pw, px, py, pz = 0.0 + t, bx + 0.0, by + 0.0, bz + 0.0
+        n2 = pw * pw + px * px + py * py + pz * pz
+        if n2 == 0.0:
+            raise ZeroDivisionError("zero quaternion has no inverse")
+        iw, ix, iy, iz = pw / n2, -px / n2, -py / n2, -pz / n2
+        ew, ex, ey, ez = n - cw, 0.0 - cx, 0.0 - cy, 0.0 - cz
+        roots.append((iw * ew - ix * ex - iy * ey - iz * ez - h,
+                      iw * ex + ix * ew + iy * ez - iz * ey,
+                      iw * ey - ix * ez + iy * ew + iz * ex,
+                      iw * ez + ix * ey - iy * ex + iz * ew))
+    return roots
 
 
 def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
@@ -397,42 +439,77 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     satisfies the quadratic residual bound, which already makes M - lambda I
     singular: (1, q) is its null vector up to |b| times that residual.  When
     no candidate survives the filter the computation is reported as failed
-    rather than silently empty.
+    rather than silently empty; a matrix whose Frobenius norm is not finite
+    raises NotApplicableError.
+
+    Plain float arithmetic on the 16 components.  Every sum is formed in
+    the order the Quaternion operations of these formulas form it, zero
+    parts included, so the output has the bits of that route while
+    Quaternions are built only for the emitted points and a sphere family.
     """
-    eps = EPS_CLASS * (1.0 + m.frobenius())
-    if m.b.norm() <= eps:
-        points = [m.a]
-        if (m.a - m.d).norm() > eps:
-            points.append(m.d)
+    a, b, c, d = m.a, m.b, m.c, m.d
+    aw, ax, ay, az = a.w, a.x, a.y, a.z
+    bw, bx, by, bz = b.w, b.x, b.y, b.z
+    cw, cx, cy, cz = c.w, c.x, c.y, c.z
+    dw, dx, dy, dz = d.w, d.x, d.y, d.z
+    nb = bw * bw + bx * bx + by * by + bz * bz
+    frobenius = math.sqrt((aw * aw + ax * ax + ay * ay + az * az) + nb
+                          + (cw * cw + cx * cx + cy * cy + cz * cz)
+                          + (dw * dw + dx * dx + dy * dy + dz * dz))
+    if not math.isfinite(frobenius):
+        raise NotApplicableError(
+            f"left eigenvalues need a finite matrix norm, got {frobenius}")
+    eps = EPS_CLASS * (1.0 + frobenius)
+    ew, ex, ey, ez = aw - dw, ax - dx, ay - dy, az - dz
+    if math.sqrt(nb) <= eps:
+        points = [a]
+        if math.sqrt(ew * ew + ex * ex + ey * ey + ez * ez) > eps:
+            points.append(d)
         points.sort(key=lambda p: (p.w, p.x, p.y, p.z))
         return LeftSpectrumDescription(tuple(points), ())
 
-    binv = m.b.inverse()
-    B = binv * (m.a - m.d)
-    C = -(binv * m.c)
-    if B.imag_norm() <= 1e-10 and C.imag_norm() <= 1e-10:
+    # B = b^-1 (a - d) and C = -(b^-1 c); nb > eps^2 > 0 here.
+    iw, ix, iy, iz = bw / nb, -bx / nb, -by / nb, -bz / nb
+    B = (iw * ew - ix * ex - iy * ey - iz * ez,
+         iw * ex + ix * ew + iy * ez - iz * ey,
+         iw * ey - ix * ez + iy * ew + iz * ex,
+         iw * ez + ix * ey - iy * ex + iz * ew)
+    C = (-(iw * cw - ix * cx - iy * cy - iz * cz),
+         -(iw * cx + ix * cw + iy * cz - iz * cy),
+         -(iw * cy - ix * cz + iy * cw + iz * cx),
+         -(iw * cz + ix * cy - iy * cx + iz * cw))
+    B0, C0 = B[0], C[0]
+    if (math.sqrt(B[1] * B[1] + B[2] * B[2] + B[3] * B[3]) <= 1e-10
+            and math.sqrt(C[1] * C[1] + C[2] * C[2] + C[3] * C[3]) <= 1e-10):
         # Real coefficients: either two real roots or a whole sphere.
-        disc = B.w * B.w - 4.0 * C.w
+        disc = B0 * B0 - 4.0 * C0
         if disc < -1e-12:
-            radius = math.sqrt(C.w - 0.25 * B.w * B.w)
-            family = SphereFamily(m.a - m.b * (0.5 * B.w), m.b * radius)
+            radius = math.sqrt(C0 - 0.25 * B0 * B0)
+            family = SphereFamily(a - b * (0.5 * B0), b * radius)
             return LeftSpectrumDescription((), (family,))
-        terms = B.w * B.w + 4.0 * abs(C.w)
+        terms = B0 * B0 + 4.0 * abs(C0)
         root = math.sqrt(disc) if disc > DOUBLE_ROOT_TOL * terms else 0.0
-        candidates = [Quaternion.real(0.5 * (-B.w + root)),
-                      Quaternion.real(0.5 * (-B.w - root))]
+        candidates = [(0.5 * (-B0 + root), 0.0, 0.0, 0.0),
+                      (0.5 * (-B0 - root), 0.0, 0.0, 0.0)]
     else:
         candidates = _quadratic_roots(B, C)
 
-    seen: list[Quaternion] = []
+    seen: list[tuple] = []
     for q in candidates:
-        if _quad_residual(q, B, C) > QUADRATIC_RESIDUAL_TOL:
+        if not _quad_residual(q, B, C) <= QUADRATIC_RESIDUAL_TOL:
             continue
-        lam = m.a + m.b * q
-        if any((lam - known).norm() <= 1e-8 for known in seen):
+        qw, qx, qy, qz = q
+        # lambda = a + b q
+        lw = aw + (bw * qw - bx * qx - by * qy - bz * qz)
+        lx = ax + (bw * qx + bx * qw + by * qz - bz * qy)
+        ly = ay + (bw * qy - bx * qz + by * qw + bz * qx)
+        lz = az + (bw * qz + bx * qy - by * qx + bz * qw)
+        if any(math.sqrt((lw - kw) * (lw - kw) + (lx - kx) * (lx - kx)
+                         + (ly - ky) * (ly - ky) + (lz - kz) * (lz - kz))
+               <= 1e-8 for kw, kx, ky, kz in seen):
             continue
-        seen.append(lam)
+        seen.append((lw, lx, ly, lz))
     if not seen:
         raise NoRootFoundError("no left eigenvalue survived the residual filter")
-    seen.sort(key=lambda p: (p.w, p.x, p.y, p.z))
-    return LeftSpectrumDescription(tuple(seen), ())
+    seen.sort()
+    return LeftSpectrumDescription(tuple(Quaternion(*p) for p in seen), ())

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, RightSpectrum,
                      random_element, right_spectrum, right_spectrum_casewise,
                      right_spectrum_oracle, validate, verify_s_point)
 from quatu11 import spectra
-from quatu11.errors import NegativeRadicandError
+from quatu11.errors import (NegativeRadicandError, NoRootFoundError,
+                            NotApplicableError, QuatU11Error)
 from quatu11.spectra import _clamped_sqrt
 
 R2 = math.sqrt(2)
@@ -215,6 +217,235 @@ def test_left_eigenvalues_builds_no_chi(class_pool, generic_pool, monkeypatch):
     assert len(calls) == 0
 
 
+def test_left_eigenvalues_builds_no_quaternion_arithmetic(class_pool,
+                                                         generic_pool,
+                                                         monkeypatch):
+    # The Huang-So path runs on component floats; a Quaternion is built only
+    # for each emitted point.
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__neg__", "inverse"):
+        def counting(*args, _name=name, _method=getattr(Quaternion, name)):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(Quaternion, name, counting)
+    for m in _left_pool(class_pool, generic_pool):
+        assert not left_eigenvalues(m).families
+    assert calls == []
+
+
+def _quadratic_roots_by_quaternions(B, C, branches):
+    """spectra._quadratic_roots written with Quaternion operations."""
+    b = B.imag()
+    c = C - 0.25 * B.w * B.w - b * (0.5 * B.w)
+    nb2 = b.norm_sq()
+    beta = nb2 + 2.0 * c.w
+    D = 2.0 * b.dot(c)
+    gap = nb2 * nb2 + 4.0 * c.w * nb2 - 4.0 * c.imag().norm_sq()
+    size = nb2 + 2.0 * c.norm()
+    if D == 0.0:
+        branches["D == 0"] += 1
+        z = 2.0 * c.norm() - beta
+    else:
+        z = spectra._largest_resolvent_root(beta, gap, D * D)
+    if z > spectra.DOUBLE_ROOT_TOL * size:
+        pairs = [(t, 0.5 * (z + beta + D / t))
+                 for t in (math.sqrt(z), -math.sqrt(z))]
+    else:
+        branches["T == 0"] += 1
+        root = (math.sqrt(gap) if gap > spectra.DOUBLE_ROOT_TOL * size * size
+                else 0.0)
+        pairs = [(0.0, 0.5 * (beta + root)), (0.0, 0.5 * (beta - root))]
+    roots = []
+    for t, n in pairs:
+        if t != 0.0 or nb2 > 0.0:
+            roots.append((b + t).inverse() * (n - c) - 0.5 * B.w)
+        else:
+            branches["T == 0 with real B skipped"] += 1
+    return roots
+
+
+def _left_eigenvalues_by_quaternions(m, branches):
+    """spectra.left_eigenvalues written with Quaternion operations: the
+    reference whose bits the component-float kernel keeps."""
+    frobenius = m.frobenius()
+    if not math.isfinite(frobenius):
+        raise NotApplicableError("not finite")
+    eps = spectra.EPS_CLASS * (1.0 + frobenius)
+    if m.b.norm() <= eps:
+        branches["b ~ 0"] += 1
+        points = [m.a]
+        if (m.a - m.d).norm() > eps:
+            points.append(m.d)
+        points.sort(key=lambda p: (p.w, p.x, p.y, p.z))
+        return spectra.LeftSpectrumDescription(tuple(points), ())
+
+    binv = m.b.inverse()
+    B = binv * (m.a - m.d)
+    C = -(binv * m.c)
+    if B.imag_norm() <= 1e-10 and C.imag_norm() <= 1e-10:
+        disc = B.w * B.w - 4.0 * C.w
+        if disc < -1e-12:
+            branches["sphere family"] += 1
+            radius = math.sqrt(C.w - 0.25 * B.w * B.w)
+            family = spectra.SphereFamily(m.a - m.b * (0.5 * B.w),
+                                          m.b * radius)
+            return spectra.LeftSpectrumDescription((), (family,))
+        terms = B.w * B.w + 4.0 * abs(C.w)
+        if disc > spectra.DOUBLE_ROOT_TOL * terms:
+            root = math.sqrt(disc)
+        else:
+            branches["real double root"] += 1
+            root = 0.0
+        candidates = [Quaternion.real(0.5 * (-B.w + root)),
+                      Quaternion.real(0.5 * (-B.w - root))]
+    else:
+        candidates = _quadratic_roots_by_quaternions(B, C, branches)
+
+    seen = []
+    for q in candidates:
+        residual = (q * q + B * q + C).norm()
+        if not residual <= spectra.QUADRATIC_RESIDUAL_TOL:
+            continue
+        lam = m.a + m.b * q
+        if any((lam - known).norm() <= 1e-8 for known in seen):
+            continue
+        seen.append(lam)
+    if not seen:
+        raise NoRootFoundError("no left eigenvalue survived the residual filter")
+    seen.sort(key=lambda p: (p.w, p.x, p.y, p.z))
+    return spectra.LeftSpectrumDescription(tuple(seen), ())
+
+
+def _left_outcome(solve, m):
+    """Points and families as float.hex, or the type of the exception."""
+    try:
+        desc = solve(m)
+    except (QuatU11Error, ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return ([[float(v).hex() for v in p.as_list()] for p in desc.points],
+            [[float(v).hex() for q in (f.alpha, f.beta) for v in q.as_list()]
+             for f in desc.families])
+
+
+def _assert_left_routes_agree(m, branches):
+    want = _left_outcome(
+        lambda m: _left_eigenvalues_by_quaternions(m, branches), m)
+    assert _left_outcome(left_eigenvalues, m) == want, m
+
+
+def _matrix(parts) -> Mat2H:
+    parts = [float(p) for p in parts]
+    return Mat2H(*(Quaternion(*parts[k:k + 4]) for k in range(0, 16, 4)))
+
+
+def _unit_diagonal(rng) -> Mat2H:
+    def unit():
+        v = rng.standard_normal(4).tolist()
+        n = math.sqrt(sum(p * p for p in v))
+        return Quaternion(*(p / n for p in v))
+
+    return Mat2H.diag(unit(), unit())
+
+
+def _left_bit_pool(class_pool, generic_pool):
+    """Matrices that between them reach every branch of left_eigenvalues."""
+    pool = [t.m for members in class_pool.values() for t in members]
+    pool += [t.m for t in generic_pool]
+    pool += [random_element([91, k], hint).m
+             for hint in [None] + [c.value for c in MoebiusClass]
+             for k in range(40)]
+    # off-group Gaussians at scales 1e-6 .. 1e6
+    rng = np.random.default_rng(4242)
+    for exponent in range(-6, 7):
+        pool += [_matrix(10.0 ** exponent * rng.standard_normal(16))
+                 for _ in range(20)]
+    # exact near-diagonal elements D1 B(t) D2 (ROADMAP item 3(e))
+    for sh in (1e-9, 1e-7, 1e-5, 1e-4, 1e-3):
+        rng = np.random.default_rng(303)
+        ch = math.sqrt(1.0 + sh * sh)
+        boost = Mat2H(ch, sh, sh, ch)
+        pool += [_unit_diagonal(rng) @ boost @ _unit_diagonal(rng)
+                 for _ in range(40)]
+    # real B and C, a sphere family or two real roots, then perturbed off
+    # the real axis by delta (ROADMAP item 3(e))
+    for delta in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        rng = np.random.default_rng(78)
+        for _ in range(60):
+            v = rng.standard_normal(18).tolist()
+            a, b = Quaternion(*v[:4]), Quaternion(*v[4:8])
+            B0, C0 = v[8:10]
+            c = -(b * C0) + Quaternion(*v[10:14]) * delta
+            d = a - b * B0 + Quaternion(*v[14:18]) * delta
+            pool.append(Mat2H(a, b, c, d))
+    # small dyadic entries, a random share of them signed zeros, so that
+    # exact zeros reach every sum
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        zeros = rng.random(16) < rng.random()
+        pool.append(_matrix(np.where(
+            zeros, np.copysign(0.0, rng.standard_normal(16)),
+            rng.choice([1.0, -1.0, 2.0, -2.0, 0.5, 3.0], 16))))
+    pool += [ROTOR.m, ROTOR.m @ ROTOR.m, Mat2H.diag(QI, QJ),
+             Mat2H(1.0, 1.0, 0.0, 1.0),
+             # Im B == (-0.0, 0.0, 0.0): b + T turns its -0.0 into +0.0
+             _matrix([0.0, 0.0, -0.0, 0.0, -0.0, 2.0, 0.0, -0.0,
+                      0.5, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0]),
+             # B == 0 and C a hair off the real axis: z == 0, both T == 0
+             # candidates are skipped, and NoRootFoundError follows
+             Mat2H(1.0, 1.0, Quaternion(-1e6, -2e-10), 1.0)]
+    return pool
+
+
+def test_left_eigenvalues_matches_quaternion_route_on_pools(class_pool,
+                                                            generic_pool):
+    branches = Counter()
+    for m in _left_bit_pool(class_pool, generic_pool):
+        _assert_left_routes_agree(m, branches)
+    assert set(branches) == {"b ~ 0", "sphere family", "real double root",
+                             "D == 0", "T == 0", "T == 0 with real B skipped"}
+
+
+_left_components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e-150, max_value=1e150),
+    st.floats(min_value=-1e150, max_value=-1e-150),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=st.builds(Mat2H, *(st.builds(Quaternion, *[_left_components] * 4)
+                            for _ in range(4))))
+def test_left_eigenvalues_matches_quaternion_route(m):
+    _assert_left_routes_agree(m, Counter())
+
+
+def test_left_eigenvalues_reject_an_overflowing_norm():
+    # ||M||_F overflows to inf, so eps was inf and the b ~ 0 branch answered
+    # with a alone
+    m = Mat2H(Quaternion(1e200), Quaternion(3e199, 1.0),
+              Quaternion(0.0, 2e199), Quaternion(-1e200, 0.0, 0.0, 5.0))
+    with pytest.raises(NotApplicableError):
+        left_eigenvalues(m)
+
+
+def test_left_eigenvalues_reject_a_nan_entry():
+    # this used to give two all-NaN points
+    m = Mat2H(Quaternion(1.0), Quaternion(0.0, 1.0), Quaternion(math.nan),
+              Quaternion(-1.0))
+    with pytest.raises(NotApplicableError):
+        left_eigenvalues(m)
+
+
+def test_a_nan_residual_fails_the_filter(example, monkeypatch):
+    assert left_eigenvalues(example.m).points
+    monkeypatch.setattr(spectra, "_quad_residual", lambda q, B, C: math.nan)
+    with pytest.raises(NoRootFoundError):
+        left_eigenvalues(example.m)
+
 def _sturm_chain(coeffs):
     """Sturm sequence of the polynomial with these exact coefficients,
     highest degree first."""
@@ -281,8 +512,8 @@ def test_resolvent_root_is_the_largest_real_root(class_pool, generic_pool,
         left_eigenvalues(m)
     pool_triples = len(triples)
     for c0 in (0.5, -0.5):
-        spectra._quadratic_roots(Quaternion(0.0, 1.0),
-                                 Quaternion(c0, 1e-170, 0.8, -0.3))
+        spectra._quadratic_roots((0.0, 1.0, 0.0, 0.0),
+                                 (c0, 1e-170, 0.8, -0.3))
     assert pool_triples > 300
     assert all(dd == 0.0 for _, _, dd in triples[pool_triples:])
     triples += [(1.5, 0.0, 0.0), (-1.5, 0.0, 0.0), (0.0, 0.0, 0.0),
