@@ -6,15 +6,15 @@ elliptic elements."""
 from .diagonalize import (DiagonalizationCase, DiagonalizationResult,
                           diagonalize_elliptic)
 from .errors import QuatU11Error
-from .group import (GroupElement, J, conjugate, inverse_u11, is_member,
+from .group import (GroupElement, J, conjugate, inverse_u11,
                     membership_residual, random_element, validate)
 from .invariants import (InvariantReport, delta_legacy, delta_via_traces,
-                         mat_pow, report)
+                         report)
 from .mat2h import Mat2H
 from .moebius import (MoebiusClass, apply, classify, delta, is_elliptic,
                       stratum)
 from .quaternion import (ONE, QI, QJ, QK, ZERO, Quaternion, is_similar,
-                         solve_similarity, standard_rep)
+                         solve_similarity)
 from .spectra import (LeftSpectrumDescription, RightSpectrum, SpectralSphere,
                       SphereFamily, left_eigenvalues, right_spectrum,
                       right_spectrum_casewise, right_spectrum_oracle,
@@ -24,11 +24,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Quaternion", "ZERO", "ONE", "QI", "QJ", "QK",
-    "is_similar", "standard_rep", "solve_similarity",
+    "is_similar", "solve_similarity",
     "Mat2H", "J",
-    "GroupElement", "membership_residual", "is_member", "validate",
+    "GroupElement", "membership_residual", "validate",
     "inverse_u11", "conjugate", "random_element",
-    "delta", "delta_legacy", "delta_via_traces", "mat_pow",
+    "delta", "delta_legacy", "delta_via_traces",
     "InvariantReport", "report",
     "SpectralSphere", "RightSpectrum", "SphereFamily",
     "LeftSpectrumDescription", "right_spectrum", "right_spectrum_casewise",

@@ -9,10 +9,6 @@ class NotSimilarError(QuatU11Error):
     """Two quaternions do not lie in the same similarity class."""
 
 
-class SingularMatrixError(QuatU11Error):
-    """A quaternionic matrix has no inverse."""
-
-
 class MembershipError(QuatU11Error):
     """A matrix fails the group membership conditions."""
 

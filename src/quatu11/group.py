@@ -28,7 +28,6 @@ __all__ = [
     "J",
     "MEMBERSHIP_TOL",
     "membership_residual",
-    "is_member",
     "validate",
     "inverse_u11",
     "conjugate",
@@ -99,10 +98,6 @@ def _gram_entry_sq(a, b, c, d, e, f, g, h,
     z = ((a * h + b * g - c * f + d * e)
          + (a2 * h2 + b2 * g2 - c2 * f2 + d2 * e2)) - 0.0
     return w * w + x * x + y * y + z * z
-
-
-def is_member(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> bool:
-    return membership_residual(m) <= tol
 
 
 class GroupElement(Record):

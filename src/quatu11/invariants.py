@@ -22,14 +22,12 @@ from typing import Callable, Optional
 
 from .errors import MembershipError, NotApplicableError
 from .group import GroupElement, conjugate
-from .mat2h import Mat2H
 from .moebius import DiagonalizationCase, delta, stratum
 from .quaternion import Record
 
 __all__ = [
     "delta_legacy",
     "delta_via_traces",
-    "mat_pow",
     "InvariantReport",
     "report",
     "IdentityCheck",
@@ -60,17 +58,6 @@ def delta_via_traces(t: GroupElement) -> float:
     tr1 = t.m.tr()
     tr2 = t.powers()[0].tr()
     return 0.25 * tr1 * tr1 - 0.5 * tr2 - 2.0
-
-
-def mat_pow(m: Mat2H, n: int) -> Mat2H:
-    if n < 0:
-        raise ValueError("only nonnegative powers are supported")
-    if n == 0:
-        return Mat2H.identity()
-    out = m
-    for _ in range(n - 1):
-        out = out @ m
-    return out
 
 
 class InvariantReport(Record):

@@ -3,8 +3,8 @@
 Writing each entry q = (q.w + q.x*i) + (q.y + q.z*i)*j maps it to the 2x2
 complex block [[z, v], [-conj(v), conj(z)]]; applying this blockwise gives a
 4x4 complex matrix chi(M).  chi is a ring homomorphism that intertwines the
-conjugate transpose on both sides, so inverses, singularity tests, and
-eigenvalue work are delegated to numpy through it.
+conjugate transpose on both sides, so the singularity test and the
+right-spectrum oracle in `spectra` hand chi(M) to numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import SingularMatrixError
 from .quaternion import ONE, ZERO, Quaternion, Record, _mul_add
 
 if TYPE_CHECKING:
@@ -71,9 +70,6 @@ class Mat2H(Record):
         return {"a": self.a.as_list(), "b": self.b.as_list(),
                 "c": self.c.as_list(), "d": self.d.as_list()}
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Mat2H") -> "Mat2H":
@@ -87,9 +83,6 @@ class Mat2H(Record):
             return NotImplemented
         return _from_quaternions(self.a - other.a, self.b - other.b,
                                  self.c - other.c, self.d - other.d)
-
-    def __neg__(self) -> "Mat2H":
-        return _from_quaternions(-self.a, -self.b, -self.c, -self.d)
 
     def __matmul__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
@@ -136,24 +129,6 @@ class Mat2H(Record):
             out[row + 1, col] = -v.conjugate()
             out[row + 1, col + 1] = z.conjugate()
         return out
-
-    @classmethod
-    def from_chi(cls, mat: np.ndarray) -> "Mat2H":
-        def pick(r, c):
-            z = mat[r, c]
-            v = mat[r, c + 1]
-            return Quaternion(float(z.real), float(z.imag),
-                              float(v.real), float(v.imag))
-
-        return cls(pick(0, 0), pick(0, 2), pick(2, 0), pick(2, 2))
-
-    def inverse(self) -> "Mat2H":
-        import numpy as np
-        rep = self.chi()
-        smallest = np.linalg.svd(rep, compute_uv=False)[-1]
-        if smallest <= SINGULAR_TOL * np.linalg.norm(rep):
-            raise SingularMatrixError("matrix is singular or nearly so")
-        return Mat2H.from_chi(np.linalg.inv(rep))
 
     def is_singular(self, tol: float = SINGULAR_TOL) -> bool:
         import numpy as np

@@ -24,7 +24,6 @@ __all__ = [
     "QJ",
     "QK",
     "is_similar",
-    "standard_rep",
     "solve_similarity",
     "SIMILARITY_TOL",
 ]
@@ -264,11 +263,6 @@ QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 def is_similar(p: Quaternion, q: Quaternion, tol: float = SIMILARITY_TOL) -> bool:
     """Whether p and q share a similarity class (same real part and modulus)."""
     return abs(p.w - q.w) <= tol and abs(p.norm() - q.norm()) <= tol
-
-
-def standard_rep(q: Quaternion) -> Quaternion:
-    """Canonical class representative Re(q) + i*|Im(q)|."""
-    return _new(q.w, q.imag_norm(), 0.0, 0.0)
 
 
 def solve_similarity(s: Quaternion, u: Quaternion,

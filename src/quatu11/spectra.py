@@ -62,9 +62,6 @@ class SpectralSphere(Record):
         _set_re(self, re)
         _set_modulus(self, modulus)
 
-    def is_point(self, tol: float = 1e-12) -> bool:
-        return abs(self.modulus - abs(self.re)) <= tol
-
     def representative(self) -> Quaternion:
         imag = math.sqrt(max(self.modulus ** 2 - self.re ** 2, 0.0))
         return Quaternion(self.re, imag, 0.0, 0.0)
@@ -382,15 +379,13 @@ def _quadratic_roots(B: tuple, C: tuple) -> list[tuple]:
     Bw, bx, by, bz = B
     Cw, Cx, Cy, Cz = C
     h = 0.5 * Bw
-    # c = C - B0^2 / 4 - b B0 / 2.  Quaternion.__sub__ pads a real term with
-    # zero parts and b has real part 0.0, so c0 takes a - 0.0 * h, which
-    # fixes the sign of a zero c0.
-    cw = (Cw - 0.25 * Bw * Bw) - 0.0 * h
+    # c = C - B0^2 / 4 - b B0 / 2; b has real part 0.0.
+    cw = Cw - 0.25 * Bw * Bw
     cx, cy, cz = Cx - bx * h, Cy - by * h, Cz - bz * h
     nb2 = bx * bx + by * by + bz * bz
     beta = nb2 + 2.0 * cw
-    # 2 <b, c>, as Quaternion.dot sums it from b's zero real part on
-    D = 2.0 * (0.0 * cw + bx * cx + by * cy + bz * cz)
+    # 2 <b, c>; b's zero real part adds nothing.
+    D = 2.0 * (bx * cx + by * cy + bz * cz)
     # beta^2 - 4E with the Re(c)^2 terms cancelled by hand: the direct
     # difference loses every digit when B and C are nearly real.
     gap = nb2 * nb2 + 4.0 * cw * nb2 - 4.0 * (cx * cx + cy * cy + cz * cz)
@@ -414,10 +409,10 @@ def _quadratic_roots(B: tuple, C: tuple) -> list[tuple]:
     for t, n in pairs:
         if t == 0.0 and not nb2 > 0.0:
             continue
-        # y = (b + T)^-1 (N - c).  The real T and N are padded with zero
-        # parts, so b + T turns a -0.0 part of b into +0.0, and N - c
-        # negates c's imaginary parts as 0.0 - x, which is +0.0 at x == 0.
-        pw, px, py, pz = 0.0 + t, bx + 0.0, by + 0.0, bz + 0.0
+        # y = (b + T)^-1 (N - c).  The Quaternion route pads the real T and
+        # N with zero parts: b + T turns a -0.0 part of b into +0.0, and
+        # N - c negates c's imaginary parts as 0.0 - x, +0.0 at x == 0.
+        pw, px, py, pz = t, bx + 0.0, by + 0.0, bz + 0.0
         n2 = pw * pw + px * px + py * py + pz * pz
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
@@ -443,9 +438,10 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     raises NotApplicableError.
 
     Plain float arithmetic on the 16 components.  Every sum is formed in
-    the order the Quaternion operations of these formulas form it, zero
-    parts included, so the output has the bits of that route while
-    Quaternions are built only for the emitted points and a sphere family.
+    the order the Quaternion operations of these formulas form it, and the
+    zero parts that can flip the sign of a zero are kept, so the output has
+    the bits of that route while Quaternions are built only for the emitted
+    points and a sphere family.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     aw, ax, ay, az = a.w, a.x, a.y, a.z

@@ -1,5 +1,6 @@
 """End-to-end command line checks: output shape, determinism, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -327,6 +328,39 @@ def test_numpy_loads_only_where_it_computes(example_file):
     assert doc["oracle_code"] == 0
     assert doc["after"] is True
     assert json.loads(doc["oracle"])["agrees"] is True
+
+
+def _numpy_import_sites() -> set:
+    """module.qualname of each function in src/quatu11 whose own body
+    imports numpy."""
+    sites = set()
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name],
+                      isinstance(child, ast.FunctionDef))
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if in_function and any(n.split(".")[0] == "numpy" for n in names):
+                sites.add(".".join(scope))
+            visit(child, scope, in_function)
+
+    for path in Path(SRC, "quatu11").glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem], False)
+    return sites
+
+
+def test_numpy_is_imported_only_by_its_entry_points():
+    assert _numpy_import_sites() == {
+        "mat2h.Mat2H.chi", "mat2h.Mat2H.is_singular",
+        "group.random_element", "spectra.right_spectrum_oracle",
+        "spectra.SpectralSphere.sample", "spectra.SphereFamily.sample"}
 
 
 NO_DATACLASSES = """

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from quatu11 import (GroupElement, Mat2H, QI, QJ, Quaternion, conjugate, delta,
-                     delta_legacy, delta_via_traces, mat_pow,
-                     membership_residual, random_element, report, validate)
+                     delta_legacy, delta_via_traces, membership_residual,
+                     random_element, report, validate)
 from quatu11.errors import NotApplicableError
 from quatu11.invariants import IDENTITY_CHECKS, SINGLE_ELEMENT_CHECKS
 
@@ -54,23 +54,15 @@ def test_delta_via_traces_golden(example):
     assert abs(delta_via_traces(example) - (-1.0)) < 1e-8
 
 
-def test_mat_pow_small_cases(example):
-    m = example.m
-    assert mat_pow(m, 0) == Mat2H.identity()
-    assert mat_pow(m, 1) == m
-    assert (mat_pow(m, 3) - m @ m @ m).frobenius() == 0.0
-    with pytest.raises(ValueError):
-        mat_pow(m, -1)
-
-
 def test_powers_are_formed_once_and_match_mat_pow(class_pool):
     for elements in class_pool.values():
         t = validate(elements[0].m)
         powers = t.powers()
         assert t.powers() is powers
-        for got, n in zip(powers[:3], (2, 3, 4)):
-            assert got == mat_pow(t.m, n)
-        assert powers[3] == powers[2] @ powers[0]
+        m = t.m
+        m2 = m @ m
+        m4 = m2 @ m @ m
+        assert powers == (m2, m2 @ m, m4, m4 @ m2)
 
 
 def test_identity_checks_form_each_product_once(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatu11 import Mat2H, QI, QJ, QK, Quaternion
-from quatu11.errors import SingularMatrixError
 
 R2 = math.sqrt(2)
 
@@ -52,7 +51,7 @@ def _entrywise_product(x: Mat2H, y: Mat2H) -> Mat2H:
 
 def _bits(m: Mat2H) -> tuple:
     # repr tells -0.0 from 0.0 and an int from a float, which == does not
-    return tuple(repr(v) for q in m.entries() for v in q.as_list())
+    return tuple(repr(v) for q in (m.a, m.b, m.c, m.d) for v in q.as_list())
 
 
 def _assert_same_product(x: Mat2H, y: Mat2H) -> None:
@@ -119,43 +118,20 @@ def test_chi_is_a_homomorphism():
         assert np.max(np.abs(m.chi().conj().T - m.adjoint().chi())) == 0.0
 
 
-def test_chi_round_trip():
-    rng = np.random.default_rng(12)
-    m = _random_matrix(rng)
-    assert (Mat2H.from_chi(m.chi()) - m).frobenius() == 0.0
-
-
 def test_trace_is_similarity_invariant():
+    # X = [[1, r], [0, 1]] diag(p, q) [[1, 0], [s, 1]] is a general invertible
+    # matrix, and its factors' inverses are explicit.
     rng = np.random.default_rng(13)
     for _ in range(15):
         m = _random_matrix(rng)
-        x = _random_matrix(rng)
-        try:
-            xi = x.inverse()
-        except SingularMatrixError:
-            continue
+        f = _random_matrix(rng)
+        p, q, r, s = f.a, f.b, f.c, f.d
+        x = Mat2H(1, r, 0, 1) @ Mat2H.diag(p, q) @ Mat2H(1, 0, s, 1)
+        xi = (Mat2H(1, 0, -s, 1) @ Mat2H.diag(p.inverse(), q.inverse())
+              @ Mat2H(1, -r, 0, 1))
         conj = x @ m @ xi
-        assert abs(conj.tr() - m.tr()) <= 1e-8 * (1.0 + abs(m.tr())) * x.frobenius() ** 2
-
-
-def test_inverse_is_two_sided():
-    rng = np.random.default_rng(14)
-    eye = Mat2H.identity()
-    for _ in range(15):
-        m = _random_matrix(rng)
-        try:
-            mi = m.inverse()
-        except SingularMatrixError:
-            continue
-        assert ((m @ mi) - eye).frobenius() < 1e-9
-        assert ((mi @ m) - eye).frobenius() < 1e-9
-
-
-def test_inverse_of_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        Mat2H(QI, QJ, QJ, -QI).inverse()
-    with pytest.raises(SingularMatrixError):
-        Mat2H.diag(Quaternion(), Quaternion(1.0)).inverse()
+        assert abs(conj.tr() - m.tr()) \
+            <= 1e-8 * (1.0 + abs(m.tr())) * x.frobenius() * xi.frobenius()
 
 
 def test_is_singular_golden_values():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quatu11 import ONE, QI, QJ, QK, ZERO, Quaternion, is_similar, solve_similarity, standard_rep
+from quatu11 import ONE, QI, QJ, QK, ZERO, Quaternion, is_similar, solve_similarity
 from quatu11.errors import NotSimilarError
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -80,15 +80,6 @@ def test_integer_powers():
     assert ((q ** 3) - q * q * q).norm() < 1e-15
     with pytest.raises(TypeError):
         q ** -2  # inverses are explicit, not spelled as negative powers
-
-
-def test_standard_rep_is_canonical():
-    q = Quaternion(1.0, 2.0, 2.0, 4.0)
-    rep = standard_rep(q)
-    assert rep == Quaternion(1.0, math.sqrt(24.0), 0.0, 0.0)
-    assert is_similar(q, rep)
-    # real quaternions are their own representatives
-    assert standard_rep(Quaternion(-3.0)) == Quaternion(-3.0)
 
 
 def test_similarity_is_real_part_and_modulus():

@@ -29,13 +29,14 @@ def _spheres(t):
 
 def test_sphere_helpers():
     s = SpectralSphere(1.0, math.sqrt(5.0))
-    assert not s.is_point()
+    assert abs(s.modulus - abs(s.re)) > 1e-12
     rep = s.representative()
     assert rep == Quaternion(1.0, 2.0, 0.0, 0.0)
     for q in s.sample(10, seed=1):
         assert abs(q.w - 1.0) < 1e-12
         assert abs(q.norm() - math.sqrt(5.0)) < 1e-12
-    assert SpectralSphere(-2.0, 2.0).is_point()
+    # a point sphere's representative is the point itself
+    assert SpectralSphere(-2.0, 2.0).representative() == Quaternion(-2.0)
     assert s.to_json() == {"re": 1.0, "modulus": math.sqrt(5.0)}
 
 
@@ -77,7 +78,7 @@ def test_rotor_spectrum_is_two_real_points():
     assert got[0] == pytest.approx((R2 + 1.0, R2 + 1.0), abs=1e-12)
     assert got[1] == pytest.approx((R2 - 1.0, R2 - 1.0), abs=1e-12)
     for s in right_spectrum(ROTOR).spheres:
-        assert s.is_point(1e-12)
+        assert abs(s.modulus - abs(s.re)) <= 1e-12
 
 
 def test_boost_spectrum_is_exponential_pair():
@@ -92,8 +93,8 @@ def test_boost_spectrum_is_exponential_pair():
 def test_negated_element_swaps_the_pairing():
     # negation flips the trace sign; moduli must follow their real parts
     t = 0.7
-    boost = validate(-Mat2H(Quaternion(math.cosh(t)), Quaternion(math.sinh(t)),
-                            Quaternion(math.sinh(t)), Quaternion(math.cosh(t))))
+    ch, sh = -Quaternion(math.cosh(t)), -Quaternion(math.sinh(t))
+    boost = validate(Mat2H(ch, sh, sh, ch))
     sigma = right_spectrum(boost)
     oracle = right_spectrum_oracle(boost.m)
     assert sigma.max_deviation(oracle) < 1e-10
