@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import CaseMismatchError, ClaimViolationError, NotEllipticError
-from .group import GroupElement, _j_adjoint, membership_residual, validate
+from .errors import CaseMismatchError, NotEllipticError
+from .group import GroupElement
 from .mat2h import Mat2H
-from .moebius import DiagonalizationCase, delta, stratum
-from .quaternion import QI, Quaternion, Record, solve_similarity
+from .moebius import DiagonalizationCase, stratum
+from .quaternion import Quaternion, Record
 
 CLAIM_TOL = 1e-6
 
@@ -65,117 +65,30 @@ class DiagonalizationResult(Record):
  _set_case_used, _set_claim_residual) = DiagonalizationResult._slot_setters()
 
 
-def _conjugation_residual(x: GroupElement, t: GroupElement, d: Mat2H) -> float:
-    return (x.m @ t.m @ _j_adjoint(x.m) - d).frobenius()
-
-
 def diagonalize_elliptic(t: GroupElement) -> DiagonalizationResult:
-    """Conjugator X and diagonal D with X T X^-1 == D, for elliptic T."""
+    """Conjugator X and diagonal D with X T X^-1 == D, for elliptic T.
+
+    Cases 2 and 3 run on the float parts of the entries (see
+    `_diagonalize_kernel`), with the bits of the same construction written
+    with Quaternion and Mat2H operations.
+    """
     case, cls = stratum(t)
     if cls.coarse != "elliptic":
         raise NotEllipticError("only elliptic elements diagonalize over the "
                                "unit spectrum")
     if case is DiagonalizationCase.CASE1:
-        d = Mat2H.diag(t.m.a, t.m.d)
-        return DiagonalizationResult(GroupElement(Mat2H.identity(), 0.0), d,
-                                     (t.m - d).frobenius(), 0.0,
-                                     DiagonalizationCase.CASE1)
+        m = t.m
+        # T - diag(a, d) is [[0, b], [c, 0]] exactly, as q - q == 0.0.
+        return DiagonalizationResult(
+            GroupElement(Mat2H.identity(), 0.0), Mat2H.diag(m.a, m.d),
+            math.sqrt(m.b.norm_sq() + m.c.norm_sq()), 0.0,
+            DiagonalizationCase.CASE1)
+    # Imported on first use: without cached bytecode every import of the
+    # package compiles its source, and only this call needs the kernel.
+    from . import _diagonalize_kernel as kernel
     if case is DiagonalizationCase.CASE2:
-        return _case2(t)
-    return _case3(t)
-
-
-def _case2(t: GroupElement) -> DiagonalizationResult:
-    """Diagonalize T with b == conj(c) != 0 and d0^2 < 1."""
-    m = t.m
-    d0 = m.d.w
-
-    c_mod = m.c.norm()
-    phase = m.c * (1.0 / c_mod)
-    x1 = Mat2H.diag(phase, 1.0)
-    # x1 T x1^-1 == [[conj(d), |c|], [|c|, d]]; only d survives below.
-
-    lam1 = math.sqrt(1.0 - d0 * d0)
-    lam2 = math.sqrt(1.0 - d0 * d0 + c_mod * c_mod)
-    target = Quaternion(d0, lam2)
-    y1 = solve_similarity(m.d.conjugate(), target).conjugate()
-    y = Mat2H.diag(y1, y1)
-
-    k = 1.0 / math.sqrt(2.0 * lam1 * (lam1 + lam2))
-    z = Mat2H(Quaternion.real(k * (lam1 + lam2)), QI * (-k * c_mod),
-              QI * (k * c_mod), Quaternion.real(k * (lam1 + lam2)))
-
-    x = validate(z @ y @ x1, CLAIM_TOL)
-    d = Mat2H.diag(Quaternion(d0, lam1), Quaternion(d0, -lam1))
-    return DiagonalizationResult(x, d, _conjugation_residual(x, t, d),
-                                 x.membership_residual,
-                                 DiagonalizationCase.CASE2)
-
-
-def _case3(t: GroupElement) -> DiagonalizationResult:
-    """Diagonalize T with b != conj(c) != 0 and delta < 0."""
-    m = t.m
-    bc = m.b - m.c.conjugate()
-    dlt = delta(m)
-
-    a0, d0 = m.a.w, m.d.w
-    split = math.sqrt(-dlt)
-    sphere = _unit_point(0.5 * (a0 + d0 + split))
-    sphere_p = _unit_point(0.5 * (a0 + d0 - split))
-
-    def momentum(s0: float) -> Quaternion:
-        return (2.0 * s0) * m.c.conjugate() - m.b * m.d.conjugate() \
-            - m.c.conjugate() * m.d
-
-    p, pp = momentum(sphere.w), momentum(sphere_p.w)
-    nbc = bc.norm()
-    claim = max(abs(p.norm() - nbc), abs(pp.norm() - nbc))
-
-    if a0 > d0:
-        first, second = (sphere, p), (sphere_p, pp)
-    else:
-        first, second = (sphere_p, pp), (sphere, p)
-
-    def row_seed(pair):
-        sigma, pv = pair
-        u = (-1.0 / (nbc * nbc)) * (bc * pv.conjugate())
-        x = solve_similarity(sigma, u)
-        ratio = (bc * pv.inverse() + m.a) * m.c.inverse()
-        return x, ratio
-
-    x1_unit, ratio1 = row_seed(first)
-    margin1 = 1.0 - ratio1.norm_sq()
-    if margin1 <= 1e-12:
-        raise ClaimViolationError(
-            f"Claim A failed: |ratio|^2 = {ratio1.norm_sq():.17g} not below 1")
-    x1 = x1_unit * (1.0 / math.sqrt(margin1))
-    x2 = -(x1 * ratio1)
-
-    x3_unit, ratio2 = row_seed(second)
-    margin2 = ratio2.norm_sq() - 1.0
-    if margin2 <= 1e-12:
-        raise ClaimViolationError(
-            f"Claim B failed: |ratio|^2 = {ratio2.norm_sq():.17g} not above 1")
-    x3 = x3_unit * (1.0 / math.sqrt(margin2))
-    x4 = -(x3 * ratio2)
-
-    claim = max(claim, (ratio1 * ratio2.conjugate() - 1.0).norm())
-    claim = max(claim,
-                abs(x1.norm() - x4.norm()),
-                (x1 * x3.conjugate() - x2 * x4.conjugate()).norm(),
-                (x1.conjugate() * x2 - x3.conjugate() * x4).norm())
-    if claim > CLAIM_TOL:
-        raise ClaimViolationError(f"claim residual {claim:.3e} exceeds {CLAIM_TOL}")
-
-    xmat = Mat2H(x1, x2, x3, x4)
-    residual = membership_residual(xmat)
-    if residual > CLAIM_TOL:
-        raise ClaimViolationError(
-            f"conjugator membership residual {residual:.3e}")
-    x = GroupElement(xmat, residual)
-    d = Mat2H.diag(first[0], second[0])
-    return DiagonalizationResult(x, d, _conjugation_residual(x, t, d),
-                                 residual, DiagonalizationCase.CASE3, claim)
+        return kernel.case2(t)
+    return kernel.case3(t)
 
 
 def _unit_point(s0: float) -> Quaternion:

@@ -94,9 +94,13 @@ class Mat2H(Record):
 
     def __rmul__(self, scalar) -> "Mat2H":
         # Scalars multiply from the left; quaternion scalars do not commute
-        # with the entries, so there is deliberately no right version.
+        # with the entries, so there is deliberately no right version.  A
+        # real scalar scales each part, so -1.0 * M negates every part,
+        # zeros included.
         if isinstance(scalar, (int, float)):
-            scalar = Quaternion.real(scalar)
+            s = float(scalar)
+            return _from_quaternions(self.a * s, self.b * s,
+                                     self.c * s, self.d * s)
         if not isinstance(scalar, Quaternion):
             return NotImplemented
         return _from_quaternions(scalar * self.a, scalar * self.b,

@@ -400,6 +400,19 @@ def _quadratic_roots(B: tuple, C: tuple) -> list[tuple]:
     if z > DOUBLE_ROOT_TOL * size:
         pairs = [(t, 0.5 * (z + beta + D / t))
                  for t in (math.sqrt(z), -math.sqrt(z))]
+    elif not nb2 > 0.0:
+        # T == 0 and b == 0, so b + T has no inverse, but y^2 == -c: take
+        # y = +-sqrt(-c) with |Im y| = sqrt((|c| + c0) / 2) and
+        # Re y = |Im c| / (2 |Im y|), Im y along -Im c.  z == 2 (|c| - c0)
+        # is this small only for c0 ~ |c| > 0, so no difference cancels.
+        norm_im = math.sqrt(cx * cx + cy * cy + cz * cz)
+        s = math.sqrt(0.5 * (norm_c + cw))
+        if not (norm_im > 0.0 and s > 0.0):
+            return []
+        r = norm_im / (2.0 * s)
+        k = s / norm_im
+        yx, yy, yz = -cx * k, -cy * k, -cz * k
+        return [(r - h, yx, yy, yz), (-r - h, -yx, -yy, -yz)]
     else:
         # T == 0.  At a double root z and gap are zero up to roundoff, and
         # their square roots would split it into two points ~1e-8 apart.
@@ -407,8 +420,6 @@ def _quadratic_roots(B: tuple, C: tuple) -> list[tuple]:
         pairs = [(0.0, 0.5 * (beta + root)), (0.0, 0.5 * (beta - root))]
     roots = []
     for t, n in pairs:
-        if t == 0.0 and not nb2 > 0.0:
-            continue
         # y = (b + T)^-1 (N - c).  The Quaternion route pads the real T and
         # N with zero parts: b + T turns a -0.0 part of b into +0.0, and
         # N - c negates c's imaginary parts as 0.0 - x, +0.0 at x == 0.

@@ -1,18 +1,26 @@
 """Constructive diagonalization of elliptic elements, case by case."""
 
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quatu11._diagonalize_kernel
 import quatu11.diagonalize
-from quatu11 import (DiagonalizationCase, Mat2H, QI, QJ, Quaternion,
+from quatu11 import (DiagonalizationCase, Mat2H, QI, QJ, QK, Quaternion,
                      classify, delta_legacy, diagonalize_elliptic,
                      random_element, right_spectrum, right_spectrum_casewise,
                      stratum, validate)
+from quatu11.diagonalize import (CLAIM_TOL, DiagonalizationResult,
+                                 _unit_point)
 from quatu11.errors import (ClaimViolationError, NotApplicableError,
-                            NotEllipticError)
-from quatu11.moebius import EPS_CLASS
+                            NotEllipticError, NotSimilarError, QuatU11Error)
+from quatu11.group import GroupElement, _j_adjoint, membership_residual
+from quatu11.moebius import EPS_CLASS, delta
+from quatu11.quaternion import solve_similarity
 
 R2 = math.sqrt(2)
 
@@ -164,3 +172,334 @@ def test_stratum_decision_agrees_across_functions(class_pool):
             eps = EPS_CLASS * (1.0 + t.m.frobenius())
             assert result.residual_conjugation <= 1.5 * eps
     assert case1_count > 0
+
+
+# -- the Quaternion-form reference ---------------------------------------
+
+
+def _diagonalize_by_quaternions(t, branches):
+    """diagonalize_elliptic written with Quaternion and Mat2H operations:
+    the reference whose bits the component-float kernel keeps."""
+    case, cls = stratum(t)
+    if cls.coarse != "elliptic":
+        raise NotEllipticError("only elliptic elements diagonalize over the "
+                               "unit spectrum")
+    branches[case.value] += 1
+    if case is DiagonalizationCase.CASE1:
+        d = Mat2H.diag(t.m.a, t.m.d)
+        return DiagonalizationResult(GroupElement(Mat2H.identity(), 0.0), d,
+                                     (t.m - d).frobenius(), 0.0,
+                                     DiagonalizationCase.CASE1)
+    if case is DiagonalizationCase.CASE2:
+        return _case2_by_quaternions(t)
+    return _case3_by_quaternions(t, branches)
+
+
+def _conjugation_residual_by_quaternions(x, t, d):
+    return (x.m @ t.m @ _j_adjoint(x.m) - d).frobenius()
+
+
+def _case2_by_quaternions(t):
+    m = t.m
+    d0 = m.d.w
+
+    c_mod = m.c.norm()
+    phase = m.c * (1.0 / c_mod)
+    x1 = Mat2H.diag(phase, 1.0)
+
+    lam1 = math.sqrt(1.0 - d0 * d0)
+    lam2 = math.sqrt(1.0 - d0 * d0 + c_mod * c_mod)
+    target = Quaternion(d0, lam2)
+    y1 = solve_similarity(m.d.conjugate(), target).conjugate()
+    y = Mat2H.diag(y1, y1)
+
+    k = 1.0 / math.sqrt(2.0 * lam1 * (lam1 + lam2))
+    z = Mat2H(Quaternion.real(k * (lam1 + lam2)), QI * (-k * c_mod),
+              QI * (k * c_mod), Quaternion.real(k * (lam1 + lam2)))
+
+    x = validate(z @ y @ x1, CLAIM_TOL)
+    d = Mat2H.diag(Quaternion(d0, lam1), Quaternion(d0, -lam1))
+    return DiagonalizationResult(x, d,
+                                 _conjugation_residual_by_quaternions(x, t, d),
+                                 x.membership_residual,
+                                 DiagonalizationCase.CASE2)
+
+
+def _case3_by_quaternions(t, branches):
+    m = t.m
+    bc = m.b - m.c.conjugate()
+    dlt = delta(m)
+
+    a0, d0 = m.a.w, m.d.w
+    split = math.sqrt(-dlt)
+    sphere = _unit_point(0.5 * (a0 + d0 + split))
+    sphere_p = _unit_point(0.5 * (a0 + d0 - split))
+
+    def momentum(s0):
+        return (2.0 * s0) * m.c.conjugate() - m.b * m.d.conjugate() \
+            - m.c.conjugate() * m.d
+
+    p, pp = momentum(sphere.w), momentum(sphere_p.w)
+    nbc = bc.norm()
+    claim = max(abs(p.norm() - nbc), abs(pp.norm() - nbc))
+
+    if a0 > d0:
+        first, second = (sphere, p), (sphere_p, pp)
+    else:
+        first, second = (sphere_p, pp), (sphere, p)
+
+    def row_seed(pair):
+        sigma, pv = pair
+        u = (-1.0 / (nbc * nbc)) * (bc * pv.conjugate())
+        x = solve_similarity(sigma, u)
+        ratio = (bc * pv.inverse() + m.a) * m.c.inverse()
+        return x, ratio
+
+    x1_unit, ratio1 = row_seed(first)
+    margin1 = 1.0 - ratio1.norm_sq()
+    if margin1 <= 1e-12:
+        branches["Claim A"] += 1
+        raise ClaimViolationError(
+            f"Claim A failed: |ratio|^2 = {ratio1.norm_sq():.17g} not below 1")
+    x1 = x1_unit * (1.0 / math.sqrt(margin1))
+    x2 = -(x1 * ratio1)
+
+    x3_unit, ratio2 = row_seed(second)
+    margin2 = ratio2.norm_sq() - 1.0
+    if margin2 <= 1e-12:
+        branches["Claim B"] += 1
+        raise ClaimViolationError(
+            f"Claim B failed: |ratio|^2 = {ratio2.norm_sq():.17g} not above 1")
+    x3 = x3_unit * (1.0 / math.sqrt(margin2))
+    x4 = -(x3 * ratio2)
+
+    claim = max(claim, (ratio1 * ratio2.conjugate() - 1.0).norm())
+    claim = max(claim,
+                abs(x1.norm() - x4.norm()),
+                (x1 * x3.conjugate() - x2 * x4.conjugate()).norm(),
+                (x1.conjugate() * x2 - x3.conjugate() * x4).norm())
+    if claim > CLAIM_TOL:
+        branches["claim residual"] += 1
+        raise ClaimViolationError(f"claim residual {claim:.3e} exceeds {CLAIM_TOL}")
+
+    xmat = Mat2H(x1, x2, x3, x4)
+    residual = membership_residual(xmat)
+    if residual > CLAIM_TOL:
+        branches["conjugator membership"] += 1
+        raise ClaimViolationError(
+            f"conjugator membership residual {residual:.3e}")
+    x = GroupElement(xmat, residual)
+    d = Mat2H.diag(first[0], second[0])
+    return DiagonalizationResult(x, d,
+                                 _conjugation_residual_by_quaternions(x, t, d),
+                                 residual, DiagonalizationCase.CASE3, claim)
+
+
+def _diagonalize_outcome(solve, t):
+    """Every part of X and D and every residual as float.hex, with the
+    case; or the type and message of the exception."""
+    try:
+        r = solve(t)
+    except (QuatU11Error, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    parts = [float(v).hex() for mat in (r.x.m, r.d)
+             for q in (mat.a, mat.b, mat.c, mat.d) for v in q.as_list()]
+    return (parts, float(r.residual_conjugation).hex(),
+            float(r.residual_membership).hex(),
+            float(r.claim_residual).hex(), r.case_used)
+
+
+def _unit_diagonal(rng) -> Mat2H:
+    def unit():
+        v = rng.standard_normal(4)
+        return Quaternion(*(v / np.linalg.norm(v)).tolist())
+
+    return Mat2H.diag(unit(), unit())
+
+
+BAND_SINH = (1e-9, 1e-7, 1e-5, 1e-4, 1e-3)
+
+
+def _rng303_band(sh, count=200):
+    """Exact near-diagonal elements D1 B(t) D2, one default_rng(303) per
+    row (ROADMAP item 3(e))."""
+    rng = np.random.default_rng(303)
+    ch = math.sqrt(1.0 + sh * sh)
+    boost = Mat2H(ch, sh, sh, ch)
+    return [validate(_unit_diagonal(rng) @ boost @ _unit_diagonal(rng))
+            for _ in range(count)]
+
+
+def _signed_zero_inputs():
+    """Case-2 and Case-3 elements whose entries have signed-zero parts."""
+    out = []
+    for z1, z2, z3 in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0),
+                       (0.0, -0.0, 0.0)):
+        # Case 2: [[conj(d), conj(c)], [c, d]] with c and d in one complex
+        # slice and |d|^2 == 1 + |c|^2
+        for axis in (1, 2, 3):
+            for c0, cs, d0 in ((1.0, z1, 0.5), (z2, 1.0, -0.25),
+                               (0.6, -0.8, z3), (z1, 2.0, 0.75)):
+                cp, dp = [c0, z1, z2, z3], [d0, z3, z1, z2]
+                cp[axis] = cs
+                dp[axis] = math.sqrt(1.0 + c0 * c0 + cs * cs - d0 * d0)
+                c, d = Quaternion(*cp), Quaternion(*dp)
+                out.append(validate(Mat2H(d.conjugate(), c.conjugate(), c, d)))
+        # Case 3: diag(u, v) B(t) with Re u far from Re v and a small boost
+        for sh in (0.1, 0.2):
+            ch = math.sqrt(1.0 + sh * sh)
+            boost = Mat2H(Quaternion(ch, z1, z2, z3), Quaternion(sh, z3, z1, z2),
+                          Quaternion(sh, z2, z3, z1), Quaternion(ch, z3, z2, z1))
+            for u, v in (((0.6, 0.8, z1, z2), (-0.6, z3, 0.8, z2)),
+                         ((0.8, z2, z1, 0.6), (z1, z3, -1.0, z2)),
+                         ((1.0, z1, z2, z3), (z3, 1.0, z1, z2))):
+                out.append(validate(Mat2H.diag(Quaternion(*u), Quaternion(*v))
+                                    @ boost))
+    return out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _diagonalize_bit_pool(class_pool, example):
+    pool = [t for name in ("SimpleElliptic", "CompoundElliptic")
+            for t in class_pool[name]]
+    pool += [random_element([91, k], hint) for k in range(40)
+             for hint in ("SimpleElliptic", "CompoundElliptic")]
+    pool.append(example)
+    for name in ("SimpleElliptic", "CompoundElliptic", "WorkedExample"):
+        pool.append(validate(Mat2H.from_json(
+            json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))))
+    pool += _near_diagonal_band()
+    for sh in BAND_SINH:
+        pool += _rng303_band(sh)
+    pool += _signed_zero_inputs()
+    pool.append(validate(Mat2H.diag(QI, QJ)))
+    return pool
+
+
+def test_diagonalize_matches_quaternion_route(class_pool, example):
+    branches = Counter()
+    for t in _diagonalize_bit_pool(class_pool, example):
+        want = _diagonalize_outcome(
+            lambda t: _diagonalize_by_quaternions(t, branches), t)
+        assert _diagonalize_outcome(diagonalize_elliptic, t) == want, t
+    assert set(branches) == {"Case1", "Case2", "Case3", "claim residual"}
+    assert {stratum(t) for t in _signed_zero_inputs()} == {
+        (DiagonalizationCase.CASE2, quatu11.MoebiusClass.SIMPLE_ELLIPTIC),
+        (DiagonalizationCase.CASE3, quatu11.MoebiusClass.COMPOUND_ELLIPTIC)}
+
+
+def test_diagonalize_builds_no_quaternion_arithmetic(class_pool, example,
+                                                     monkeypatch):
+    # Cases 2 and 3 run on component floats; Quaternions and matrices are
+    # only built for X and D.
+    pool = _diagonalize_bit_pool(class_pool, example)
+    calls = []
+    for cls, names in ((Quaternion, ("__add__", "__radd__", "__sub__",
+                                     "__rsub__", "__mul__", "__rmul__",
+                                     "__neg__", "__pow__", "inverse",
+                                     "conjugate", "normalized", "imag")),
+                       (Mat2H, ("__add__", "__sub__", "__matmul__",
+                                "__rmul__", "adjoint"))):
+        for name in names:
+            def counting(*args, _name=name, _method=getattr(cls, name)):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+    cases = Counter()
+    for t in pool:
+        try:
+            cases[diagonalize_elliptic(t).case_used.value] += 1
+        except ClaimViolationError:
+            cases["ClaimViolationError"] += 1
+    assert set(cases) == {"Case1", "Case2", "Case3", "ClaimViolationError"}
+    assert calls == []
+
+
+# ClaimViolationError count of each sinh t in BAND_SINH on _rng303_band; the
+# Case-3 construction divides by quantities of the size of b - conj(c)
+# (ROADMAP item 4), and this is the count to lower.
+BAND_CLAIM_FAILURES = [200, 200, 154, 0, 0]
+
+
+def test_rng303_band_claim_failures():
+    for sh, want in zip(BAND_SINH, BAND_CLAIM_FAILURES):
+        counts = []
+        for solve in (diagonalize_elliptic,
+                      lambda t: _diagonalize_by_quaternions(t, Counter())):
+            failures = 0
+            for t in _rng303_band(sh):
+                try:
+                    solve(t)
+                except ClaimViolationError:
+                    failures += 1
+            counts.append(failures)
+        assert counts == [want, want], sh
+
+
+
+def _hex_parts(m: Mat2H) -> list:
+    return [float(v).hex() for q in (m.a, m.b, m.c, m.d) for v in q.as_list()]
+
+
+def test_product_kernel_matches_mat2h():
+    # small dyadic parts, a random share of them signed zeros, so that the
+    # products with zero parts decide the sign of zeros in the result
+    rng = np.random.default_rng(16)
+
+    def parts():
+        zeros = rng.random(16) < rng.random()
+        return tuple(np.where(zeros, np.copysign(0.0, rng.standard_normal(16)),
+                              rng.choice([1.0, -1.0, 2.0, -0.5, 3.0], 16))
+                     .tolist())
+
+    def matrix(p):
+        return Mat2H(*(Quaternion(*p[k:k + 4]) for k in range(0, 16, 4)))
+
+    for _ in range(2000):
+        m, n = parts(), parts()
+        got = matrix(quatu11._diagonalize_kernel._matmul(m, n))
+        assert _hex_parts(got) == _hex_parts(matrix(m) @ matrix(n))
+
+
+def _similarity_outcome(solve, s, u):
+    try:
+        return [float(v).hex() for v in solve(s, u)]
+    except NotSimilarError as exc:
+        return str(exc)
+
+
+def _similarity_pairs():
+    """Similar pairs u q u^-1, q (generic, antiparallel, real and nearly
+    real), some with signed-zero parts, and a few dissimilar ones."""
+    rng = np.random.default_rng(17)
+    pairs = []
+    for _ in range(300):
+        q = Quaternion(*rng.standard_normal(4).tolist())
+        u = Quaternion(*rng.standard_normal(4).tolist()).normalized()
+        pairs.append((u * q * u.inverse(), q))
+        pairs.append((q, q.conjugate()))
+        pairs.append((Quaternion(q.w, *(1e-10 * q.imag()).as_list()[1:]),
+                      Quaternion(q.w)))
+    for z in (0.0, -0.0):
+        for p in (Quaternion(0.5, 1.0, z, z), Quaternion(z, z, -2.0, z),
+                  Quaternion(-1.0, z, z, 3.0), Quaternion(2.0, z, z, z)):
+            for q in (p, p.conjugate(), Quaternion(p.w, p.z, p.x, p.y)):
+                pairs.append((p, q))
+        pairs.append((QI, Quaternion(z, -1.0, z, -z)))
+    # the last: Im(s) passes the tolerance, u is real
+    pairs += [(QI, Quaternion(2.0, 3.0)), (QI, Quaternion(1.0)),
+              (Quaternion(1.0), QI), (Quaternion(1.0, 5e-9), Quaternion(1.0))]
+    return pairs
+
+
+def test_similarity_kernel_matches_solve_similarity():
+    parts = quatu11._diagonalize_kernel._similarity_parts
+    for s, u in _similarity_pairs():
+        got = _similarity_outcome(
+            lambda s, u: parts(tuple(s.as_list()), tuple(u.as_list())), s, u)
+        want = _similarity_outcome(
+            lambda s, u: solve_similarity(s, u).as_list(), s, u)
+        assert got == want, (s, u)

@@ -92,6 +92,27 @@ def test_left_scalar_multiplication():
     assert QJ * m == Mat2H(QJ * QI, QJ * QJ, QJ * QK, QJ)
 
 
+def _part_bits(m: Mat2H) -> list:
+    return [float(v).hex() for q in (m.a, m.b, m.c, m.d) for v in q.as_list()]
+
+
+def test_real_scalar_scales_every_part():
+    # no Hamilton product with the zero parts of Quaternion.real(s), which
+    # would turn -0.0 parts of the result into +0.0
+    ch, sh = math.cosh(0.7), math.sinh(0.7)
+    for m in (Mat2H(ch, sh, sh, ch),
+              Mat2H(Quaternion(-0.0, 1.0, 0.0, -2.5), QJ, Quaternion(3.0),
+                    Quaternion(0.0, -0.0, 0.5, 0.0))):
+        negated = Mat2H(*(Quaternion(*(-v for v in q.as_list()))
+                          for q in (m.a, m.b, m.c, m.d)))
+        assert _part_bits(-1.0 * m) == _part_bits(negated)
+        assert _part_bits(-1 * m) == _part_bits(negated)
+        assert _part_bits(1.0 * m) == _part_bits(m)
+        assert _part_bits(2.5 * m) == [float(2.5 * v).hex()
+                                       for v in (p for q in (m.a, m.b, m.c, m.d)
+                                                 for p in q.as_list())]
+
+
 def test_adjoint_transposes_and_conjugates():
     m = Mat2H(QI, QJ, QK, Quaternion(1.0, 1.0, 0.0, 0.0))
     s = m.adjoint()

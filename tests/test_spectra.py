@@ -253,18 +253,21 @@ def _quadratic_roots_by_quaternions(B, C, branches):
     if z > spectra.DOUBLE_ROOT_TOL * size:
         pairs = [(t, 0.5 * (z + beta + D / t))
                  for t in (math.sqrt(z), -math.sqrt(z))]
+    elif not nb2 > 0.0:
+        branches["T == 0 with real B"] += 1
+        norm_im = c.imag_norm()
+        s = math.sqrt(0.5 * (c.norm() + c.w))
+        if not (norm_im > 0.0 and s > 0.0):
+            return []
+        along = -(c.imag() * (s / norm_im))
+        y = Quaternion(norm_im / (2.0 * s), along.x, along.y, along.z)
+        return [y - 0.5 * B.w, -y - 0.5 * B.w]
     else:
         branches["T == 0"] += 1
         root = (math.sqrt(gap) if gap > spectra.DOUBLE_ROOT_TOL * size * size
                 else 0.0)
         pairs = [(0.0, 0.5 * (beta + root)), (0.0, 0.5 * (beta - root))]
-    roots = []
-    for t, n in pairs:
-        if t != 0.0 or nb2 > 0.0:
-            roots.append((b + t).inverse() * (n - c) - 0.5 * B.w)
-        else:
-            branches["T == 0 with real B skipped"] += 1
-    return roots
+    return [(b + t).inverse() * (n - c) - 0.5 * B.w for t, n in pairs]
 
 
 def _left_eigenvalues_by_quaternions(m, branches):
@@ -393,8 +396,8 @@ def _left_bit_pool(class_pool, generic_pool):
              # Im B == (-0.0, 0.0, 0.0): b + T turns its -0.0 into +0.0
              _matrix([0.0, 0.0, -0.0, 0.0, -0.0, 2.0, 0.0, -0.0,
                       0.5, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0]),
-             # B == 0 and C a hair off the real axis: z == 0, both T == 0
-             # candidates are skipped, and NoRootFoundError follows
+             # B == 0 and C a hair off the real axis: z == 0, and the roots
+             # are +-sqrt(-c)
              Mat2H(1.0, 1.0, Quaternion(-1e6, -2e-10), 1.0)]
     return pool
 
@@ -405,7 +408,7 @@ def test_left_eigenvalues_matches_quaternion_route_on_pools(class_pool,
     for m in _left_bit_pool(class_pool, generic_pool):
         _assert_left_routes_agree(m, branches)
     assert set(branches) == {"b ~ 0", "sphere family", "real double root",
-                             "D == 0", "T == 0", "T == 0 with real B skipped"}
+                             "D == 0", "T == 0", "T == 0 with real B"}
 
 
 _left_components = st.one_of(
@@ -624,4 +627,19 @@ def test_left_spectrum_near_real_coefficients():
     desc = left_eigenvalues(m)
     assert len(desc.points) == 2
     for lam in desc.points:
+        assert (m - Mat2H.diag(lam, lam)).is_singular(1e-7)
+
+
+def test_left_spectrum_with_zero_b_and_c_off_the_real_axis():
+    # B == 0 and C = (1e6, 2e-10, 0, 0): z == 2 |c| - beta rounds to 0 and
+    # b + T has no inverse, so the roots are q = +-sqrt(-C) ~ +-1e-13 -+ 1000 i
+    m = Mat2H(1.0, 1.0, Quaternion(-1e6, -2e-10), 1.0)
+    B, C = (0.0, 0.0, 0.0, 0.0), (1e6, 2e-10, 0.0, 0.0)
+    roots = spectra._quadratic_roots(B, C)
+    assert len(roots) == 2
+    for q in roots:
+        assert spectra._quad_residual(q, B, C) <= spectra.QUADRATIC_RESIDUAL_TOL
+    points = left_eigenvalues(m).points
+    assert len(points) == 2
+    for lam in points:
         assert (m - Mat2H.diag(lam, lam)).is_singular(1e-7)
