@@ -4,8 +4,10 @@ Every sum is formed in the order the Quaternion and Mat2H operations of the
 construction form it, zero parts included where they can set the sign of a
 zero, so the result has the bits of that route (the Quaternion-form bodies
 live on as the bit reference in tests/test_diagonalize.py).  Quaternions
-are built only for X and D.  `diagonalize_elliptic` imports this module on
-its first Case-2 or Case-3 element.
+are built only for X and D and for the arguments of
+`quaternion.solve_similarity`, which runs in its Quaternion form.
+`diagonalize_elliptic` imports this module on its first Case-2 or Case-3
+element.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import math
 
 from .diagonalize import CLAIM_TOL, DiagonalizationResult, _unit_point
-from .errors import ClaimViolationError, NotSimilarError
+from .errors import ClaimViolationError
 from .group import GroupElement, membership_residual, validate
 from .mat2h import Mat2H, _from_quaternions
 from .moebius import DiagonalizationCase, delta
-from .quaternion import SIMILARITY_TOL, Quaternion, _new
+from .quaternion import Quaternion, _new, solve_similarity
 
 # -- arithmetic on (w, x, y, z) part tuples ---------------------------------
 # Each sums as the Quaternion or Mat2H operation it stands for.
@@ -124,50 +126,6 @@ def _matrix(m: Mat2H) -> tuple:
             c.w, c.x, c.y, c.z, d.w, d.x, d.y, d.z)
 
 
-def _similarity_parts(s: tuple, u: tuple, tol: float = SIMILARITY_TOL) -> tuple:
-    """quaternion.solve_similarity(s, u) on part tuples, written out: each
-    sum in the order its Quaternion operations form it, the zero real parts
-    of the unit directions I and J included."""
-    sw, sx, sy, sz = s
-    uw, ux, uy, uz = u
-    if not (abs(sw - uw) <= tol
-            and abs(math.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
-                    - math.sqrt(uw * uw + ux * ux + uy * uy + uz * uz))
-            <= tol):
-        raise NotSimilarError(f"{_new(*s)} and {_new(*u)} are not similar "
-                              f"within {tol}")
-    beta = math.sqrt(sx * sx + sy * sy + sz * sz)
-    if beta <= tol:
-        return 1.0, 0.0, 0.0, 0.0
-    beta_u = math.sqrt(ux * ux + uy * uy + uz * uz)
-    if beta_u == 0.0:
-        raise NotSimilarError(f"{_new(*u)} is real but {_new(*s)} is not")
-    k = 1.0 / beta
-    a, b, c, d = 0.0 * k, sx * k, sy * k, sz * k
-    k = 1.0 / beta_u
-    e, f, g, h = 0.0 * k, ux * k, uy * k, uz * k
-    # 1 - I J
-    xw = 1.0 - (a * e - b * f - c * g - d * h)
-    xx = 0.0 - (a * f + b * e + c * h - d * g)
-    xy = 0.0 - (a * g - b * h + c * e + d * f)
-    xz = 0.0 - (a * h + b * g - c * f + d * e)
-    n = math.sqrt(xw * xw + xx * xx + xy * xy + xz * xz)
-    if n > 1e-8:
-        k = 1.0 / n
-        return xw * k, xx * k, xy * k, xz * k
-    for cw, cx, cy, cz in ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
-                           (0.0, 0.0, 0.0, 1.0)):
-        # the candidate minus I <candidate, I>
-        overlap = cw * a + cx * b + cy * c + cz * d
-        rw, rx = cw - a * overlap, cx - b * overlap
-        ry, rz = cy - c * overlap, cz - d * overlap
-        n = math.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
-        if n > 0.5:
-            k = 1.0 / n
-            return rw * k, rx * k, ry * k, rz * k
-    raise NotSimilarError("no orthogonal direction found")  # unreachable
-
-
 def _conjugation_residual(x: tuple, m: Mat2H, d: Mat2H) -> float:
     """||X M J X* J - D||_F for X given as a 16-tuple and diagonal D, with the
     bits of the Mat2H route: J X* J with the negated conjugates written out
@@ -201,9 +159,9 @@ def case2(t: GroupElement) -> DiagonalizationResult:
 
     lam1 = math.sqrt(1.0 - d0 * d0)
     lam2 = math.sqrt(1.0 - d0 * d0 + c_mod * c_mod)
-    # y = solve_similarity(conj(d), d0 + lam2 i), conjugated
-    y0, y1, y2, y3 = _conj(_similarity_parts((d0, -dq.x, -dq.y, -dq.z),
-                                             (d0, lam2, 0.0, 0.0)))
+    # y = conj(solve_similarity(conj(d), d0 + lam2 i))
+    y0, y1, y2, y3 = _conj(_parts(solve_similarity(
+        _new(d0, -dq.x, -dq.y, -dq.z), Quaternion(d0, lam2))))
 
     k = 1.0 / math.sqrt(2.0 * lam1 * (lam1 + lam2))
     # X = z diag(y, y) x1 with z == [[k (lam1 + lam2), -k |c| i],
@@ -263,7 +221,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     def row_seed(pair):
         sigma, pv = pair
         u = _scaled(_qmul(bc, _conj(pv)), -1.0 / (nbc * nbc))
-        x = _similarity_parts(_parts(sigma), u)
+        x = _parts(solve_similarity(sigma, _new(*u)))
         ratio = _qmul(_add(_qmul(bc, _inverse(pv)), a), c_inv)
         return x, ratio
 
