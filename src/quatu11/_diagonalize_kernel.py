@@ -17,7 +17,7 @@ import math
 from .diagonalize import CLAIM_TOL, DiagonalizationResult, _unit_point
 from .errors import ClaimViolationError
 from .group import GroupElement, membership_residual, validate
-from .mat2h import Mat2H, _from_quaternions
+from .mat2h import Mat2H, _from_parts, _matmul, _matrix
 from .moebius import DiagonalizationCase, delta
 from .quaternion import Quaternion, _new, solve_similarity
 
@@ -75,57 +75,6 @@ def _qmul(p: tuple, q: tuple) -> tuple:
             a * h + b * g - c * f + d * e)
 
 
-def _matmul(m: tuple, n: tuple) -> tuple:
-    """Mat2H.__matmul__ on matrices given as 16-tuples, the parts of a, b,
-    c and d; each entry p r + q s is summed as quaternion._mul_add."""
-    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = m
-    (e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3) = n
-    return (
-        # a e + b g
-        (a0 * e0 - a1 * e1 - a2 * e2 - a3 * e3)
-        + (b0 * g0 - b1 * g1 - b2 * g2 - b3 * g3),
-        (a0 * e1 + a1 * e0 + a2 * e3 - a3 * e2)
-        + (b0 * g1 + b1 * g0 + b2 * g3 - b3 * g2),
-        (a0 * e2 - a1 * e3 + a2 * e0 + a3 * e1)
-        + (b0 * g2 - b1 * g3 + b2 * g0 + b3 * g1),
-        (a0 * e3 + a1 * e2 - a2 * e1 + a3 * e0)
-        + (b0 * g3 + b1 * g2 - b2 * g1 + b3 * g0),
-        # a f + b h
-        (a0 * f0 - a1 * f1 - a2 * f2 - a3 * f3)
-        + (b0 * h0 - b1 * h1 - b2 * h2 - b3 * h3),
-        (a0 * f1 + a1 * f0 + a2 * f3 - a3 * f2)
-        + (b0 * h1 + b1 * h0 + b2 * h3 - b3 * h2),
-        (a0 * f2 - a1 * f3 + a2 * f0 + a3 * f1)
-        + (b0 * h2 - b1 * h3 + b2 * h0 + b3 * h1),
-        (a0 * f3 + a1 * f2 - a2 * f1 + a3 * f0)
-        + (b0 * h3 + b1 * h2 - b2 * h1 + b3 * h0),
-        # c e + d g
-        (c0 * e0 - c1 * e1 - c2 * e2 - c3 * e3)
-        + (d0 * g0 - d1 * g1 - d2 * g2 - d3 * g3),
-        (c0 * e1 + c1 * e0 + c2 * e3 - c3 * e2)
-        + (d0 * g1 + d1 * g0 + d2 * g3 - d3 * g2),
-        (c0 * e2 - c1 * e3 + c2 * e0 + c3 * e1)
-        + (d0 * g2 - d1 * g3 + d2 * g0 + d3 * g1),
-        (c0 * e3 + c1 * e2 - c2 * e1 + c3 * e0)
-        + (d0 * g3 + d1 * g2 - d2 * g1 + d3 * g0),
-        # c f + d h
-        (c0 * f0 - c1 * f1 - c2 * f2 - c3 * f3)
-        + (d0 * h0 - d1 * h1 - d2 * h2 - d3 * h3),
-        (c0 * f1 + c1 * f0 + c2 * f3 - c3 * f2)
-        + (d0 * h1 + d1 * h0 + d2 * h3 - d3 * h2),
-        (c0 * f2 - c1 * f3 + c2 * f0 + c3 * f1)
-        + (d0 * h2 - d1 * h3 + d2 * h0 + d3 * h1),
-        (c0 * f3 + c1 * f2 - c2 * f1 + c3 * f0)
-        + (d0 * h3 + d1 * h2 - d2 * h1 + d3 * h0),
-    )
-
-
-def _matrix(m: Mat2H) -> tuple:
-    a, b, c, d = m.a, m.b, m.c, m.d
-    return (a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z,
-            c.w, c.x, c.y, c.z, d.w, d.x, d.y, d.z)
-
-
 def _conjugation_residual(x: tuple, m: Mat2H, d: Mat2H) -> float:
     """||X M J X* J - D||_F for X given as a 16-tuple and diagonal D, with the
     bits of the Mat2H route: J X* J with the negated conjugates written out
@@ -177,9 +126,7 @@ def case2(t: GroupElement) -> DiagonalizationResult:
                          0.0, 0.0, 0.0, 0.0, y0, y1, y2, y3)),
                 phase + (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                          1.0, 0.0, 0.0, 0.0))
-    xe = validate(_from_quaternions(_new(*x[:4]), _new(*x[4:8]),
-                                    _new(*x[8:12]), _new(*x[12:])),
-                  CLAIM_TOL)
+    xe = validate(_from_parts(x), CLAIM_TOL)
     d = Mat2H.diag(Quaternion(d0, lam1), Quaternion(d0, -lam1))
     return DiagonalizationResult(xe, d, _conjugation_residual(x, m, d),
                                  xe.membership_residual,
@@ -252,13 +199,14 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     if claim > CLAIM_TOL:
         raise ClaimViolationError(f"claim residual {claim:.3e} exceeds {CLAIM_TOL}")
 
-    xmat = _from_quaternions(_new(*x1), _new(*x2), _new(*x3), _new(*x4))
+    x = x1 + x2 + x3 + x4
+    xmat = _from_parts(x)
     residual = membership_residual(xmat)
     if residual > CLAIM_TOL:
         raise ClaimViolationError(
             f"conjugator membership residual {residual:.3e}")
     d = Mat2H.diag(first[0], second[0])
     return DiagonalizationResult(GroupElement(xmat, residual), d,
-                                 _conjugation_residual(x1 + x2 + x3 + x4, m, d),
+                                 _conjugation_residual(x, m, d),
                                  residual,
                                  DiagonalizationCase.CASE3, claim)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
-from .mat2h import Mat2H, _from_quaternions
+from .mat2h import Mat2H, _from_quaternions, _matmul, _matrix
 from .quaternion import Quaternion, Record
 
 MEMBERSHIP_TOL = 1e-9
@@ -42,23 +42,14 @@ def membership_residual(m: Mat2H) -> float:
     The other two entry conditions need no term of their own: |a|^2 - |c|^2
     - 1 and conj(a) b - conj(c) d are, bit for bit, the real part of the
     (0,0) entry and the (0,1) entry of T* J T - J.  Plain float arithmetic
-    on the 16 components, in the operation order of the Quaternion route:
-    conjugates as negated components, the products as Quaternion.__mul__
-    and _mul_add form them, J subtracted entry by entry and the Frobenius
-    sum taken over a, b, c, d.  The result therefore has the same bits as
-    that route while building no Quaternion or Mat2H.
+    on the 16 parts, summed as the Quaternion route sums them (conjugates
+    as negated parts, products as mat2h._matmul, the Frobenius sum over a,
+    b, c, d), so the result has that route's bits without its objects.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    aw, ax, ay, az = a.w, a.x, a.y, a.z
-    bw, bx, by, bz = b.w, b.x, b.y, b.z
-    cw, cx, cy, cz = c.w, c.x, c.y, c.z
-    dw, dx, dy, dz = d.w, d.x, d.y, d.z
-    # imaginary parts of the conjugates, then the negated entries -c and -d
-    ax_, ay_, az_ = -ax, -ay, -az
-    bx_, by_, bz_ = -bx, -by, -bz
+    (aw, ax, ay, az, bw, bx, by, bz,
+     cw, cx, cy, cz, dw, dx, dy, dz) = _matrix(m)
+    # imaginary parts of conj(c), and -d.w
     cx_, cy_, cz_ = -cx, -cy, -cz
-    dx_, dy_, dz_ = -dx, -dy, -dz
-    ncw, ncx, ncy, ncz = -cw, -cx, -cy, -cz
     ndw = -dw
 
     na = aw * aw + ax * ax + ay * ay + az * az
@@ -67,41 +58,33 @@ def membership_residual(m: Mat2H) -> float:
     nd = dw * dw + dx * dx + dy * dy + dz * dz
     norm_a_d = abs(math.sqrt(na) - math.sqrt(nd))
     norm_b_c = abs(math.sqrt(nb) - math.sqrt(nc))
-    # a conj(c) + b (-conj(d))
-    cross = _gram_entry_sq(aw, ax, ay, az, cw, cx_, cy_, cz_,
-                           bw, bx, by, bz, ndw, dx, dy, dz, 0.0)
-    # T* (J T) - J with T* == [[a*, c*], [b*, d*]], J T == [[a, b], [-c, -d]]
-    gram = (_gram_entry_sq(aw, ax_, ay_, az_, aw, ax, ay, az,
-                           cw, cx_, cy_, cz_, ncw, ncx, ncy, ncz, 1.0)
-            + _gram_entry_sq(aw, ax_, ay_, az_, bw, bx, by, bz,
-                             cw, cx_, cy_, cz_, ndw, dx_, dy_, dz_, 0.0)
-            + _gram_entry_sq(bw, bx_, by_, bz_, aw, ax, ay, az,
-                             dw, dx_, dy_, dz_, ncw, ncx, ncy, ncz, 0.0)
-            + _gram_entry_sq(bw, bx_, by_, bz_, bw, bx, by, bz,
-                             dw, dx_, dy_, dz_, ndw, dx_, dy_, dz_, -1.0))
+    # a conj(c) + b (-conj(d)), summed as an entry of _matmul
+    w = (aw*cw - ax*cx_ - ay*cy_ - az*cz_) + (bw*ndw - bx*dx - by*dy - bz*dz)
+    x = (aw*cx_ + ax*cw + ay*cz_ - az*cy_) + (bw*dx + bx*ndw + by*dz - bz*dy)
+    y = (aw*cy_ - ax*cz_ + ay*cw + az*cx_) + (bw*dy - bx*dz + by*ndw + bz*dx)
+    z = (aw*cz_ + ax*cy_ - ay*cx_ + az*cw) + (bw*dz + bx*dy - by*dx + bz*ndw)
+    cross = w * w + x * x + y * y + z * z
+    # T* (J T) - J with T* == [[a*, c*], [b*, d*]], J T == [[a, b], [-c, -d]];
+    # J's zero parts need no subtraction, as q - 0.0 == q for every float q
+    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = _matmul(
+        (aw, -ax, -ay, -az, cw, cx_, cy_, cz_,
+         bw, -bx, -by, -bz, dw, -dx, -dy, -dz),
+        (aw, ax, ay, az, bw, bx, by, bz,
+         -cw, cx_, cy_, cz_, ndw, -dx, -dy, -dz))
+    a0, d0 = a0 - 1.0, d0 + 1.0  # d0 - (-1.0) is d0 + 1.0
+    gram = ((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3)
+            + (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3)
+            + (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
+            + (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
     # Every term is >= 0 or NaN, so the sum is NaN exactly when a term is.
     if math.isnan(norm_a_d + norm_b_c + cross + gram):
         return math.nan
     return max(norm_a_d, norm_b_c, math.sqrt(cross), math.sqrt(gram))
 
 
-def _gram_entry_sq(a, b, c, d, e, f, g, h,
-                   a2, b2, c2, d2, e2, f2, g2, h2, j: float) -> float:
-    """|p r + q s - j|^2 for p, r, q, s given by components, as _mul_add,
-    Quaternion.__sub__ (j is the real part of the J entry) and norm_sq."""
-    w = ((a * e - b * f - c * g - d * h)
-         + (a2 * e2 - b2 * f2 - c2 * g2 - d2 * h2)) - j
-    x = ((a * f + b * e + c * h - d * g)
-         + (a2 * f2 + b2 * e2 + c2 * h2 - d2 * g2)) - 0.0
-    y = ((a * g - b * h + c * e + d * f)
-         + (a2 * g2 - b2 * h2 + c2 * e2 + d2 * f2)) - 0.0
-    z = ((a * h + b * g - c * f + d * e)
-         + (a2 * h2 + b2 * g2 - c2 * f2 + d2 * e2)) - 0.0
-    return w * w + x * x + y * y + z * z
-
-
 class GroupElement(Record):
-    """A membership-checked matrix together with its residual."""
+    """A membership-checked matrix together with its residual; the caches
+    _powers and _conjugate are filled by invariants and conjugate."""
 
     __slots__ = ("m", "membership_residual", "_powers", "_conjugate")
 
@@ -110,16 +93,6 @@ class GroupElement(Record):
         _set_membership_residual(self, membership_residual)
         _set_powers(self, None)
         _set_conjugate(self, None)
-
-    def powers(self) -> tuple[Mat2H, Mat2H, Mat2H, Mat2H]:
-        """T^2, T^3, T^4 and T^6 from four products, formed on first use."""
-        if self._powers is None:
-            m = self.m
-            m2 = m @ m
-            m3 = m2 @ m
-            m4 = m3 @ m
-            _set_powers(self, (m2, m3, m4, m4 @ m2))
-        return self._powers
 
 
 (_set_m, _set_membership_residual, _set_powers,

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import MembershipError, NotApplicableError
-from .group import GroupElement, conjugate
+from .group import GroupElement, _set_powers, conjugate
+from .mat2h import _matmul, _matrix
 from .moebius import DiagonalizationCase, delta, stratum
 from .quaternion import Record
 
@@ -54,9 +55,33 @@ def delta_legacy(t: GroupElement) -> float:
     return inner.imag().norm_sq() - (lead - 1.0).norm_sq()
 
 
+def _tr_delta(p: tuple) -> tuple:
+    """Mat2H.tr and delta of a matrix given as the 16-tuple of its parts."""
+    w, x, y, z = p[4] - p[8], p[5] + p[9], p[6] + p[10], p[7] + p[11]
+    return (2.0 * (p[0] + p[12]),
+            (w * w + x * x + y * y + z * z) - (p[0] - p[12]) ** 2)
+
+
+def _power_values(t: GroupElement) -> tuple:
+    """(tr T, tr T^2, tr T^3, tr T^4, tr T^6, delta(T), delta(T^2),
+    delta(T^3), delta(T^6)) with the bits of the Mat2H powers, formed on
+    first use from the part tuples of T^2, T^3, T^4 and T^6 = T^4 T^2."""
+    values = t._powers
+    if values is None:
+        m = t.m
+        p = _matrix(m)
+        p2 = _matmul(p, p)
+        p3 = _matmul(p2, p)
+        p4 = _matmul(p3, p)
+        (tr2, d2), (tr3, d3), (tr4, _d4), (tr6, d6) = map(
+            _tr_delta, (p2, p3, p4, _matmul(p4, p2)))
+        values = (m.tr(), tr2, tr3, tr4, tr6, delta(m), d2, d3, d6)
+        _set_powers(t, values)
+    return values
+
+
 def delta_via_traces(t: GroupElement) -> float:
-    tr1 = t.m.tr()
-    tr2 = t.powers()[0].tr()
+    tr1, tr2 = _power_values(t)[:2]
     return 0.25 * tr1 * tr1 - 0.5 * tr2 - 2.0
 
 
@@ -86,14 +111,11 @@ class InvariantReport(Record):
 
 
 def report(t: GroupElement) -> InvariantReport:
-    m = t.m
-    m2, m3, m4, m6 = t.powers()
     try:
         legacy = delta_legacy(t)
     except NotApplicableError:
         legacy = None
-    return InvariantReport(m.tr(), m2.tr(), m3.tr(), m4.tr(), m6.tr(),
-                           delta(m), legacy)
+    return InvariantReport(*_power_values(t)[:6], legacy)
 
 
 # -- identity checks -------------------------------------------------------
@@ -117,7 +139,7 @@ _set_name, _set_tol, _set_fn = IdentityCheck._slot_setters()
 
 
 def _check_delta_via_traces(t: GroupElement, _g: GroupElement) -> float:
-    d = delta(t.m)
+    d = _power_values(t)[5]
     return abs(d - delta_via_traces(t)) / (1.0 + abs(d))
 
 
@@ -129,28 +151,21 @@ def _relative_gap(lhs: float, rhs: float) -> float:
 
 
 def _check_delta_square(t: GroupElement, _g: GroupElement) -> float:
-    tr1 = t.m.tr()
-    lhs = delta(t.powers()[0])
-    return _relative_gap(lhs, tr1 * tr1 * delta(t.m))
+    tr1, _tr2, _tr3, _tr4, _tr6, d, d2, _d3, _d6 = _power_values(t)
+    return _relative_gap(d2, tr1 * tr1 * d)
 
 
 def _check_delta_cube(t: GroupElement, _g: GroupElement) -> float:
-    m2, m3, _m4, _m6 = t.powers()
-    tr1 = t.m.tr()
-    tr2 = m2.tr()
+    tr1, tr2, _tr3, _tr4, _tr6, d, _d2, d3, _d6 = _power_values(t)
     factor = 0.5 * tr1 * tr1 + 0.5 * tr2 - 1.0
-    lhs = delta(m3)
-    return _relative_gap(lhs, factor * factor * delta(t.m))
+    return _relative_gap(d3, factor * factor * d)
 
 
 def _sixth_power_values(t: GroupElement):
-    m = t.m
-    m2, m3, m4, m6 = t.powers()
-    tr1, tr2, tr3, tr4 = m.tr(), m2.tr(), m3.tr(), m4.tr()
-    d = delta(m)
+    tr1, tr2, tr3, tr4, _tr6, d, _d2, _d3, d6 = _power_values(t)
     first = (0.5 * tr2 * tr2 + 0.5 * tr4 - 1.0) ** 2 * tr1 * tr1 * d
     second = (0.5 * tr1 * tr1 + 0.5 * tr2 - 1.0) ** 2 * tr3 * tr3 * d
-    return delta(m6), first, second
+    return d6, first, second
 
 
 def _check_delta_sixth_first(t: GroupElement, _g: GroupElement) -> float:
@@ -173,11 +188,11 @@ def _check_delta_legacy(t: GroupElement, _g: GroupElement) -> float:
         legacy = delta_legacy(t)
     except NotApplicableError:
         return 0.0
-    return abs(delta(t.m) - legacy)
+    return abs(_power_values(t)[5] - legacy)
 
 
 def _check_delta_similarity(t: GroupElement, g: GroupElement) -> float:
-    return abs(delta(conjugate(t, g).m) - delta(t.m))
+    return abs(delta(conjugate(t, g).m) - _power_values(t)[5])
 
 
 def _check_trace_similarity(t: GroupElement, g: GroupElement) -> float:

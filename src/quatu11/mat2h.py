@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .quaternion import ONE, ZERO, Quaternion, Record, _mul_add
+from .quaternion import ONE, ZERO, Quaternion, Record, _new
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,10 +87,7 @@ class Mat2H(Record):
     def __matmul__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
             return NotImplemented
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return _from_quaternions(_mul_add(a, e, b, g), _mul_add(a, f, b, h),
-                                 _mul_add(c, e, d, g), _mul_add(c, f, d, h))
+        return _from_parts(_matmul(_matrix(self), _matrix(other)))
 
     def __rmul__(self, scalar) -> "Mat2H":
         # Scalars multiply from the left; quaternion scalars do not commute
@@ -154,3 +151,43 @@ def _from_quaternions(a: Quaternion, b: Quaternion,
     _set_c(out, c)
     _set_d(out, d)
     return out
+
+
+def _from_parts(p: tuple) -> Mat2H:
+    """Mat2H from a 16-tuple of parts, the inverse of _matrix."""
+    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = p
+    return _from_quaternions(_new(a0, a1, a2, a3), _new(b0, b1, b2, b3),
+                             _new(c0, c1, c2, c3), _new(d0, d1, d2, d3))
+
+
+def _matmul(m: tuple, n: tuple) -> tuple:
+    """[[a, b], [c, d]] [[e, f], [g, h]] on 16-tuples of parts.  Each part
+    of an entry p r + q s is the sum Quaternion.__mul__ forms for p * r plus
+    the one it forms for q * s: the bits of the Quaternion route."""
+    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = m
+    (e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3) = n
+    return (
+        (a0*e0 - a1*e1 - a2*e2 - a3*e3) + (b0*g0 - b1*g1 - b2*g2 - b3*g3),
+        (a0*e1 + a1*e0 + a2*e3 - a3*e2) + (b0*g1 + b1*g0 + b2*g3 - b3*g2),
+        (a0*e2 - a1*e3 + a2*e0 + a3*e1) + (b0*g2 - b1*g3 + b2*g0 + b3*g1),
+        (a0*e3 + a1*e2 - a2*e1 + a3*e0) + (b0*g3 + b1*g2 - b2*g1 + b3*g0),
+        (a0*f0 - a1*f1 - a2*f2 - a3*f3) + (b0*h0 - b1*h1 - b2*h2 - b3*h3),
+        (a0*f1 + a1*f0 + a2*f3 - a3*f2) + (b0*h1 + b1*h0 + b2*h3 - b3*h2),
+        (a0*f2 - a1*f3 + a2*f0 + a3*f1) + (b0*h2 - b1*h3 + b2*h0 + b3*h1),
+        (a0*f3 + a1*f2 - a2*f1 + a3*f0) + (b0*h3 + b1*h2 - b2*h1 + b3*h0),
+        (c0*e0 - c1*e1 - c2*e2 - c3*e3) + (d0*g0 - d1*g1 - d2*g2 - d3*g3),
+        (c0*e1 + c1*e0 + c2*e3 - c3*e2) + (d0*g1 + d1*g0 + d2*g3 - d3*g2),
+        (c0*e2 - c1*e3 + c2*e0 + c3*e1) + (d0*g2 - d1*g3 + d2*g0 + d3*g1),
+        (c0*e3 + c1*e2 - c2*e1 + c3*e0) + (d0*g3 + d1*g2 - d2*g1 + d3*g0),
+        (c0*f0 - c1*f1 - c2*f2 - c3*f3) + (d0*h0 - d1*h1 - d2*h2 - d3*h3),
+        (c0*f1 + c1*f0 + c2*f3 - c3*f2) + (d0*h1 + d1*h0 + d2*h3 - d3*h2),
+        (c0*f2 - c1*f3 + c2*f0 + c3*f1) + (d0*h2 - d1*h3 + d2*h0 + d3*h1),
+        (c0*f3 + c1*f2 - c2*f1 + c3*f0) + (d0*h3 + d1*h2 - d2*h1 + d3*h0),
+    )
+
+
+def _matrix(m: Mat2H) -> tuple:
+    """The 16 parts of a, b, c and d, the form _matmul reads."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return (a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z,
+            c.w, c.x, c.y, c.z, d.w, d.x, d.y, d.z)

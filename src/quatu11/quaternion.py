@@ -202,31 +202,6 @@ class Quaternion(Record):
                 + self.y * other.y + self.z * other.z)
 
 
-def _mul_add(p: Quaternion, r: Quaternion,
-             q: Quaternion, s: Quaternion) -> Quaternion:
-    """p * r + q * s in one pass, the kernel of the 2x2 matrix product.
-
-    Each component is the sum Quaternion.__mul__ forms for p * r plus the
-    one it forms for q * s, evaluated in the same order as __mul__ followed
-    by __add__, so the result is bit-identical to that route while building
-    one Quaternion instead of three.
-    """
-    a, b, c, d = p.w, p.x, p.y, p.z
-    e, f, g, h = r.w, r.x, r.y, r.z
-    a2, b2, c2, d2 = q.w, q.x, q.y, q.z
-    e2, f2, g2, h2 = s.w, s.x, s.y, s.z
-    return _new(
-        (a * e - b * f - c * g - d * h)
-        + (a2 * e2 - b2 * f2 - c2 * g2 - d2 * h2),
-        (a * f + b * e + c * h - d * g)
-        + (a2 * f2 + b2 * e2 + c2 * h2 - d2 * g2),
-        (a * g - b * h + c * e + d * f)
-        + (a2 * g2 - b2 * h2 + c2 * e2 + d2 * f2),
-        (a * h + b * g - c * f + d * e)
-        + (a2 * h2 + b2 * g2 - c2 * f2 + d2 * e2),
-    )
-
-
 _set_w, _set_x, _set_y, _set_z = Quaternion._slot_setters()
 _object_new = object.__new__
 

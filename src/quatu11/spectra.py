@@ -22,7 +22,7 @@ import math
 from .errors import (NegativeRadicandError, NoRootFoundError,
                      NotApplicableError)
 from .group import GroupElement, _unit_vector
-from .mat2h import Mat2H
+from .mat2h import Mat2H, _matrix
 from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
                       stratum)
 from .quaternion import Quaternion, Record
@@ -454,11 +454,8 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     the bits of that route while Quaternions are built only for the emitted
     points and a sphere family.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    aw, ax, ay, az = a.w, a.x, a.y, a.z
-    bw, bx, by, bz = b.w, b.x, b.y, b.z
-    cw, cx, cy, cz = c.w, c.x, c.y, c.z
-    dw, dx, dy, dz = d.w, d.x, d.y, d.z
+    (aw, ax, ay, az, bw, bx, by, bz,
+     cw, cx, cy, cz, dw, dx, dy, dz) = _matrix(m)
     nb = bw * bw + bx * bx + by * by + bz * bz
     frobenius = math.sqrt((aw * aw + ax * ax + ay * ay + az * az) + nb
                           + (cw * cw + cx * cx + cy * cy + cz * cz)
@@ -469,9 +466,9 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     eps = EPS_CLASS * (1.0 + frobenius)
     ew, ex, ey, ez = aw - dw, ax - dx, ay - dy, az - dz
     if math.sqrt(nb) <= eps:
-        points = [a]
+        points = [m.a]
         if math.sqrt(ew * ew + ex * ex + ey * ey + ez * ez) > eps:
-            points.append(d)
+            points.append(m.d)
         points.sort(key=lambda p: (p.w, p.x, p.y, p.z))
         return LeftSpectrumDescription(tuple(points), ())
 
@@ -492,7 +489,7 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
         disc = B0 * B0 - 4.0 * C0
         if disc < -1e-12:
             radius = math.sqrt(C0 - 0.25 * B0 * B0)
-            family = SphereFamily(a - b * (0.5 * B0), b * radius)
+            family = SphereFamily(m.a - m.b * (0.5 * B0), m.b * radius)
             return LeftSpectrumDescription((), (family,))
         terms = B0 * B0 + 4.0 * abs(C0)
         root = math.sqrt(disc) if disc > DOUBLE_ROOT_TOL * terms else 0.0

@@ -11,6 +11,11 @@ here.  The expectations were written once by
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and should only be rewritten that way for a deliberate output change.
+
+`check_identities_seed3.txt` is the exact stdout of `quatu11
+check-identities --seed 3 --trials 200`: the sampler, the power chain and
+every identity residual, printed to the last bit.  Like the class matrices
+it also rests on numpy's seeded normal draws.
 """
 
 import contextlib
@@ -25,6 +30,8 @@ from quatu11.group import random_element
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
+CHECK_IDENTITIES = GOLDEN / "check_identities_seed3.txt"
+CHECK_IDENTITIES_ARGS = ["check-identities", "--seed", "3", "--trials", "200"]
 
 MATRICES = ["SimpleElliptic", "CompoundElliptic", "SimpleParabolic",
             "CompoundParabolic", "SimpleLoxodromic", "CompoundLoxodromic",
@@ -39,13 +46,17 @@ COMMANDS = {
 }
 
 
-def _run(command: str, matrix: str) -> dict:
-    name, *flags = COMMANDS[command]
+def _main(argv: list) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main([name, str(GOLDEN / f"{matrix}.json"), *flags])
+        code = main(argv)
     return {"exit": code, "stdout": out.getvalue()}
+
+
+def _run(command: str, matrix: str) -> dict:
+    name, *flags = COMMANDS[command]
+    return _main([name, str(GOLDEN / f"{matrix}.json"), *flags])
 
 
 CASES = [(command, matrix) for matrix in MATRICES for command in COMMANDS]
@@ -69,7 +80,14 @@ def test_cli_output_is_byte_identical(expected, command, matrix):
     assert _run(command, matrix) == expected[f"{command} {matrix}"]
 
 
+def test_check_identities_output_is_byte_identical():
+    want = CHECK_IDENTITIES.read_text(encoding="utf-8")
+    assert _main(CHECK_IDENTITIES_ARGS) == {"exit": 0, "stdout": want}
+
+
 if __name__ == "__main__":
     doc = {f"{c} {m}": _run(c, m) for c, m in CASES}
     EXPECTED.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
+    CHECK_IDENTITIES.write_text(_main(CHECK_IDENTITIES_ARGS)["stdout"],
+                                encoding="utf-8")

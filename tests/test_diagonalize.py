@@ -13,6 +13,7 @@ import pytest
 
 import quatu11._diagonalize_kernel
 import quatu11.diagonalize
+import quatu11.mat2h
 from quatu11 import (DiagonalizationCase, Mat2H, QI, QJ, Quaternion,
                      classify, delta_legacy, diagonalize_elliptic,
                      random_element, right_spectrum, right_spectrum_casewise,
@@ -485,8 +486,10 @@ def _hex_parts(m: Mat2H) -> list:
 
 
 def test_product_kernel_matches_mat2h():
-    # small dyadic parts, a random share of them signed zeros, so that the
-    # products with zero parts decide the sign of zeros in the result
+    # mat2h._matmul, the product behind Mat2H @ and the kernel, against the
+    # entrywise Quaternion route p * r + q * s; small dyadic parts, a random
+    # share of them signed zeros, so that the products with zero parts
+    # decide the sign of zeros in the result
     rng = np.random.default_rng(16)
 
     def parts():
@@ -500,5 +503,8 @@ def test_product_kernel_matches_mat2h():
 
     for _ in range(2000):
         m, n = parts(), parts()
-        got = matrix(quatu11._diagonalize_kernel._matmul(m, n))
-        assert _hex_parts(got) == _hex_parts(matrix(m) @ matrix(n))
+        got = matrix(quatu11.mat2h._matmul(m, n))
+        x, y = matrix(m), matrix(n)
+        want = Mat2H(x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
+                     x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
+        assert _hex_parts(got) == _hex_parts(want)

@@ -1,14 +1,19 @@
 """Trace and delta invariants and their power identities."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import quatu11.invariants
+import quatu11.mat2h
 from quatu11 import (GroupElement, Mat2H, QI, QJ, Quaternion, conjugate, delta,
                      delta_legacy, delta_via_traces, membership_residual,
                      random_element, report, validate)
 from quatu11.errors import NotApplicableError
-from quatu11.invariants import IDENTITY_CHECKS, SINGLE_ELEMENT_CHECKS
+from quatu11.invariants import (IDENTITY_CHECKS, SINGLE_ELEMENT_CHECKS,
+                                _power_values)
 
 R2 = math.sqrt(2)
 
@@ -54,29 +59,119 @@ def test_delta_via_traces_golden(example):
     assert abs(delta_via_traces(example) - (-1.0)) < 1e-8
 
 
+def _power_values_by_matmul(t: GroupElement) -> tuple:
+    """What _power_values caches, from the Mat2H @ chain, Mat2H.tr and
+    moebius.delta."""
+    m = t.m
+    m2 = m @ m
+    m3 = m2 @ m
+    m4 = m3 @ m
+    m6 = m4 @ m2
+    return (m.tr(), m2.tr(), m3.tr(), m4.tr(), m6.tr(),
+            delta(m), delta(m2), delta(m3), delta(m6))
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
 def test_powers_are_formed_once_and_match_mat_pow(class_pool):
     for elements in class_pool.values():
         t = validate(elements[0].m)
-        powers = t.powers()
-        assert t.powers() is powers
-        m = t.m
-        m2 = m @ m
-        m4 = m2 @ m @ m
-        assert powers == (m2, m2 @ m, m4, m4 @ m2)
+        assert t._powers is None
+        values = _power_values(t)
+        assert _power_values(t) is values
+        assert _hex(values) == _hex(_power_values_by_matmul(t))
+
+
+def _parts_matrix(parts) -> Mat2H:
+    parts = [float(p) for p in parts]
+    return Mat2H(*(Quaternion(*parts[k:k + 4]) for k in range(0, 16, 4)))
+
+
+def test_power_values_keep_the_bits_of_the_matmul_route(class_pool,
+                                                        generic_pool):
+    pool = [t.m for members in class_pool.values() for t in members]
+    pool += [t.m for t in generic_pool]
+    # off-group Gaussians at scales 1e-6 .. 1e6
+    rng = np.random.default_rng(1717)
+    for exponent in range(-6, 7):
+        pool += [_parts_matrix(10.0 ** exponent * rng.standard_normal(16))
+                 for _ in range(20)]
+    # small dyadic parts, a random share of them signed zeros, so that the
+    # zero parts decide the sign of zero traces
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        zeros = rng.random(16) < rng.random()
+        pool.append(_parts_matrix(np.where(
+            zeros, np.copysign(0.0, rng.standard_normal(16)),
+            rng.choice([1.0, -1.0, 2.0, -0.5, 3.0], 16))))
+    negative_zero_traces = 0
+    for m in pool:
+        t = GroupElement(m, membership_residual(m))
+        want = _power_values_by_matmul(t)
+        assert _hex(_power_values(t)) == _hex(want), m
+        negative_zero_traces += any(v == 0.0 and math.copysign(1.0, v) < 0.0
+                                    for v in want[:5])
+    assert negative_zero_traces  # the pool reaches -0.0 traces
+
+
+def test_report_and_checks_form_the_chain_without_objects(monkeypatch,
+                                                          class_pool,
+                                                          generic_pool):
+    """report and the seven single-element checks make no Mat2H product and
+    no Quaternion arithmetic beyond what delta_legacy itself makes."""
+    calls = Counter()
+    for cls, names in ((Quaternion, ("__add__", "__radd__", "__sub__",
+                                     "__rsub__", "__mul__", "__rmul__",
+                                     "__neg__", "__pow__", "__truediv__",
+                                     "inverse", "conjugate", "normalized",
+                                     "imag")),
+                       (Mat2H, ("__add__", "__sub__", "__matmul__",
+                                "__rmul__", "adjoint"))):
+        for name in names:
+            def counting(*args, _name=f"{cls.__name__}.{name}",
+                         _method=getattr(cls, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+    legacy_arithmetic = 0
+    pool = [t for members in class_pool.values() for t in members]
+    for m in (t.m for t in pool + generic_pool):
+        calls.clear()
+        try:
+            delta_legacy(validate(m))
+        except NotApplicableError:
+            pass
+        legacy = Counter(calls)
+        legacy_arithmetic += sum(legacy.values())
+        calls.clear()
+        report(validate(m))
+        assert calls == legacy
+        calls.clear()
+        t = validate(m)
+        for check in SINGLE_ELEMENT_CHECKS:
+            check.fn(t, t)
+        assert calls == legacy
+    assert legacy_arithmetic  # the counters see delta_legacy's arithmetic
 
 
 def test_identity_checks_form_each_product_once(monkeypatch):
     t = random_element([61, 0])
     g = random_element([61, 1])
     products = 0
-    matmul = Mat2H.__matmul__
+    matmul = quatu11.mat2h._matmul
 
-    def counted(self, other):
+    def counted(m, n):
         nonlocal products
         products += 1
-        return matmul(self, other)
+        return matmul(m, n)
 
-    monkeypatch.setattr(Mat2H, "__matmul__", counted)
+    # the one matrix product, under the names Mat2H @ and the power chain
+    # call it by
+    for module in (quatu11.mat2h, quatu11.invariants):
+        monkeypatch.setattr(module, "_matmul", counted)
     for check in IDENTITY_CHECKS:
         check.fn(t, g)
     # four for T^2, T^3, T^4, T^6 and two for the one conjugation G T G^-1,
