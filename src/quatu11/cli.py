@@ -2,25 +2,25 @@
 
 Every command reads matrices as JSON documents {"a": [w,x,y,z], ...} (the
 path "-" means stdin) and writes JSON to stdout, so commands compose under
-pipes.  Exit codes: 0 success, 1 validation or parse failure, 2 requested
-operation not applicable to the input.  Output for a fixed invocation is
-byte-identical across runs.
+pipes.  Exit codes: 0 success; 1 invalid input or a numerical failure; 2
+the operation does not apply to the input (the `NotApplicableError`
+family).  Output for a fixed invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from .diagonalize import diagonalize_elliptic
-from .errors import (CaseMismatchError, NotApplicableError, NotEllipticError,
-                     PoleError, QuatU11Error)
+from .errors import NotApplicableError, QuatU11Error
 from .group import (GroupElement, MEMBERSHIP_TOL, membership_residual,
                     random_element, validate)
 from .invariants import SINGLE_ELEMENT_CHECKS, IDENTITY_CHECKS, report
-from .mat2h import Mat2H
+from .mat2h import Mat2H, is_json_number
 from .moebius import MoebiusClass, apply, classify, evidence
 from .quaternion import Quaternion
 from .spectra import (SPECTRUM_TOL, left_eigenvalues, right_spectrum,
@@ -30,12 +30,8 @@ CLASS_NAMES = sorted(cls.value for cls in MoebiusClass)
 
 
 def _print(doc, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-    print(text)
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    print(json.dumps(doc, sort_keys=True, allow_nan=False, **layout))
 
 
 def _load_matrix(path: str) -> Mat2H:
@@ -50,8 +46,7 @@ def _load_matrix(path: str) -> Mat2H:
 def _quaternion_arg(text: str) -> Quaternion:
     parts = json.loads(text)
     if not isinstance(parts, list) or len(parts) != 4 \
-            or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                       and math.isfinite(p) for p in parts):
+            or not all(is_json_number(p) for p in parts):
         raise ValueError("--point expects a JSON list of four finite numbers")
     return Quaternion.from_list(parts)
 
@@ -67,6 +62,9 @@ def _check_flags(args) -> None:
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be a non-negative integer, "
                          f"got {args.seed}")
+    # parsed here, so a bad point is reported before the matrix is read
+    if hasattr(args, "point"):
+        args.point = _quaternion_arg(args.point)
 
 
 def cmd_validate(args) -> int:
@@ -81,55 +79,49 @@ def cmd_validate(args) -> int:
     return 0 if member else 1
 
 
-def cmd_invariants(args) -> int:
-    t = validate(_load_matrix(args.matrix), args.tol_membership)
+def invariants_doc(t: GroupElement, args) -> dict:
     residuals = {chk.name: chk.fn(t, t) for chk in SINGLE_ELEMENT_CHECKS}
-    _print({"invariants": report(t).to_json(),
-            "identity_residuals": residuals}, args.pretty)
-    return 0
+    return {"invariants": report(t).to_json(),
+            "identity_residuals": residuals}
 
 
-def cmd_spectrum(args) -> int:
-    t = validate(_load_matrix(args.matrix), args.tol_membership)
+def spectrum_doc(t: GroupElement, args) -> dict:
     if args.kind == "left":
         doc = {"kind": "left", **left_eigenvalues(t.m).to_json()}
         if args.oracle:
             doc["oracle_spheres"] = right_spectrum_oracle(t.m).to_json()
-    else:
-        spheres = right_spectrum(t)
-        doc = {"kind": args.kind, "spheres": spheres.to_json(),
-               "spheres_casewise": right_spectrum_casewise(t).to_json()}
-        if args.oracle:
-            oracle = right_spectrum_oracle(t.m)
-            deviation = spheres.max_deviation(oracle)
-            doc["oracle_spheres"] = oracle.to_json()
-            doc["max_deviation"] = deviation
-            doc["agrees"] = deviation <= args.tol_spectrum
-    _print(doc, args.pretty)
-    return 0
+        return doc
+    spheres = right_spectrum(t)
+    doc = {"kind": args.kind, "spheres": spheres.to_json(),
+           "spheres_casewise": right_spectrum_casewise(t).to_json()}
+    if args.oracle:
+        oracle = right_spectrum_oracle(t.m)
+        deviation = spheres.max_deviation(oracle)
+        doc["oracle_spheres"] = oracle.to_json()
+        doc["max_deviation"] = deviation
+        doc["agrees"] = deviation <= args.tol_spectrum
+    return doc
 
 
-def cmd_classify(args) -> int:
-    t = validate(_load_matrix(args.matrix), args.tol_membership)
+def classify_doc(t: GroupElement, args) -> dict:
     cls = classify(t)
-    _print({"class": cls.value, "coarse": cls.coarse,
-            "evidence": evidence(t)}, args.pretty)
-    return 0
+    return {"class": cls.value, "coarse": cls.coarse, "evidence": evidence(t)}
 
 
-def cmd_apply(args) -> int:
-    point = _quaternion_arg(args.point)
+def apply_doc(t: GroupElement, args) -> dict:
+    image = apply(t, args.point)
+    return {"point": args.point.as_list(), "image": image.as_list(),
+            "image_norm": image.norm()}
+
+
+def diagonalize_doc(t: GroupElement, args) -> dict:
+    return diagonalize_elliptic(t).to_json()
+
+
+def cmd_element(document, args) -> int:
+    """Load and validate the matrix, then print document(element, args)."""
     t = validate(_load_matrix(args.matrix), args.tol_membership)
-    image = apply(t, point)
-    _print({"point": point.as_list(), "image": image.as_list(),
-            "image_norm": image.norm()}, args.pretty)
-    return 0
-
-
-def cmd_diagonalize(args) -> int:
-    t = validate(_load_matrix(args.matrix), args.tol_membership)
-    result = diagonalize_elliptic(t)
-    _print(result.to_json(), args.pretty)
+    _print(document(t, args), args.pretty)
     return 0
 
 
@@ -143,26 +135,19 @@ def cmd_check_identities(args) -> int:
     if args.trials < 1 and args.matrix is None:
         raise ValueError(f"--trials must be at least 1 without --matrix, "
                          f"got {args.trials}")
-    rows = []
-    elements: list[tuple[GroupElement, GroupElement]] = []
-    for idx in range(args.trials):
-        t = random_element([args.seed, idx, 0])
-        g = random_element([args.seed, idx, 1])
-        elements.append((t, g))
-    worst_membership = 0.0
+    injected = []
     if args.matrix is not None:
         m = _load_matrix(args.matrix)
-        injected = GroupElement(m, membership_residual(m))
-        g = elements[0][1] if elements else random_element([args.seed, 0, 1])
-        if elements:
-            elements[0] = (injected, g)
-        else:
-            elements.append((injected, g))
-    for t, _g in elements:
-        worst_membership = max(worst_membership, t.membership_residual)
-    rows.append({"identity": "membership", "max_residual": worst_membership,
-                 "tol": args.tol_membership,
-                 "pass": worst_membership <= args.tol_membership})
+        injected.append(GroupElement(m, membership_residual(m)))
+    # the injected matrix is trial 0's T, so that T is not drawn
+    ts = injected + [random_element([args.seed, idx, 0])
+                     for idx in range(len(injected), args.trials)]
+    elements = [(t, random_element([args.seed, idx, 1]))
+                for idx, t in enumerate(ts)]
+    worst_membership = max([0.0] + [t.membership_residual for t in ts])
+    rows = [{"identity": "membership", "max_residual": worst_membership,
+             "tol": args.tol_membership,
+             "pass": worst_membership <= args.tol_membership}]
     for check in IDENTITY_CHECKS:
         tol = args.tol_identity if args.tol_identity is not None else check.tol
         worst = max(check.fn(t, g) for t, g in elements)
@@ -182,13 +167,6 @@ def cmd_check_identities(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser, matrix=True):
-    if matrix:
-        parser.add_argument("matrix", help="matrix JSON path, or - for stdin")
-    parser.add_argument("--tol-membership", type=float, default=MEMBERSHIP_TOL)
-    parser.add_argument("--pretty", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatu11",
@@ -196,55 +174,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectra, Moebius classification, diagonalization.")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("validate", help="membership test with residuals")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    def add(name, summary, func, matrix=True):
+        p = sub.add_parser(name, help=summary)
+        if matrix:
+            p.add_argument("matrix", help="matrix JSON path, or - for stdin")
+        p.add_argument("--tol-membership", type=float, default=MEMBERSHIP_TOL)
+        p.add_argument("--pretty", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("invariants", help="trace/delta report")
-    _add_common(p)
-    p.set_defaults(func=cmd_invariants)
+    def element(document):
+        return functools.partial(cmd_element, document)
 
-    p = sub.add_parser("spectrum", help="right, S-, or left spectrum")
-    _add_common(p)
+    add("validate", "membership test with residuals", cmd_validate)
+    add("invariants", "trace/delta report", element(invariants_doc))
+    p = add("spectrum", "right, S-, or left spectrum", element(spectrum_doc))
     p.add_argument("--kind", choices=("right", "s", "left"), default="right")
     p.add_argument("--oracle", action="store_true",
                    help="append chi-eigenvalue oracle data")
     p.add_argument("--tol-spectrum", type=float, default=SPECTRUM_TOL)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("classify", help="six-way Moebius classification")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("apply", help="evaluate the ball action at a point")
-    _add_common(p)
+    add("classify", "six-way Moebius classification", element(classify_doc))
+    p = add("apply", "evaluate the ball action at a point", element(apply_doc))
     p.add_argument("--point", required=True,
                    help="quaternion as a JSON list [w,x,y,z], |point| < 1")
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("diagonalize", help="conjugate an elliptic element "
-                                           "to diagonal form")
-    _add_common(p)
-    p.set_defaults(func=cmd_diagonalize)
-
-    p = sub.add_parser("random", help="seeded random group element")
-    _add_common(p, matrix=False)
+    add("diagonalize", "conjugate an elliptic element to diagonal form",
+        element(diagonalize_doc))
+    p = add("random", "seeded random group element", cmd_random, matrix=False)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--class", dest="class_hint", choices=CLASS_NAMES,
                    default=None)
-    p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("check-identities",
-                       help="run the invariant identities on random elements")
-    _add_common(p, matrix=False)
+    p = add("check-identities",
+            "run the invariant identities on random elements",
+            cmd_check_identities, matrix=False)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--matrix", default=None,
                    help="optional matrix JSON injected as trial 0")
     p.add_argument("--tol-identity", type=float, default=None,
                    help="override every identity tolerance")
-    p.set_defaults(func=cmd_check_identities)
-
     return parser
 
 
@@ -257,8 +224,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except (NotApplicableError, NotEllipticError, PoleError,
-            CaseMismatchError) as exc:
+    except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
     except (QuatU11Error, ValueError, OSError) as exc:

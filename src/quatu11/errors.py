@@ -22,7 +22,7 @@ class HintExhaustedError(QuatU11Error):
 
 
 class NotApplicableError(QuatU11Error):
-    """The requested quantity is undefined for this input."""
+    """The requested quantity is undefined for this input (CLI exit 2)."""
 
 
 class NegativeRadicandError(QuatU11Error):
@@ -33,7 +33,7 @@ class NoRootFoundError(QuatU11Error):
     """Root finding produced no candidate that survived the residual filter."""
 
 
-class PoleError(QuatU11Error):
+class PoleError(NotApplicableError):
     """The Moebius denominator vanished at the requested point."""
 
 
@@ -41,11 +41,11 @@ class BallViolationError(QuatU11Error):
     """A Moebius image escaped the closed unit ball beyond roundoff."""
 
 
-class NotEllipticError(QuatU11Error):
+class NotEllipticError(NotApplicableError):
     """Diagonalization over the unit spectrum requires an elliptic element."""
 
 
-class CaseMismatchError(QuatU11Error):
+class CaseMismatchError(NotApplicableError):
     """Input does not satisfy the preconditions of its diagonalization case."""
 
 

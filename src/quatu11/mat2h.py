@@ -3,8 +3,9 @@
 Writing each entry q = (q.w + q.x*i) + (q.y + q.z*i)*j maps it to the 2x2
 complex block [[z, v], [-conj(v), conj(z)]]; applying this blockwise gives a
 4x4 complex matrix chi(M).  chi is a ring homomorphism that intertwines the
-conjugate transpose on both sides, so the singularity test and the
-right-spectrum oracle in `spectra` hand chi(M) to numpy.
+conjugate transpose on both sides, so the singularity test
+`Mat2H.is_singular` here and the right-spectrum oracle in `spectra` hand
+chi(M) to numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ if TYPE_CHECKING:
 SINGULAR_TOL = 1e-12
 
 __all__ = ["Mat2H", "SINGULAR_TOL"]
+
+
+def is_json_number(value) -> bool:
+    """A finite int or float that is not a bool: a JSON number part."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def _entry(value) -> Quaternion:
@@ -58,11 +65,9 @@ class Mat2H(Record):
             parts = doc[key]
             if not isinstance(parts, list) or len(parts) != 4:
                 raise ValueError(f"entry {key!r} must be a list of four numbers")
-            for p in parts:
-                if not isinstance(p, (int, float)) or isinstance(p, bool) \
-                        or not math.isfinite(p):
-                    raise ValueError(
-                        f"entry {key!r} has a non-numeric or non-finite part")
+            if not all(is_json_number(p) for p in parts):
+                raise ValueError(
+                    f"entry {key!r} has a non-numeric or non-finite part")
             entries[key] = Quaternion.from_list(parts)
         return cls(**entries)
 

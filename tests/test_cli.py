@@ -13,7 +13,12 @@ from unittest import mock
 
 import pytest
 
-from quatu11.cli import main
+import quatu11.cli
+from quatu11.cli import build_parser, main
+from quatu11.errors import (CaseMismatchError, ClaimViolationError,
+                            NoRootFoundError, NotApplicableError,
+                            NotEllipticError, PoleError)
+from quatu11.group import random_element
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -385,3 +390,96 @@ def test_cli_loads_neither_dataclasses_nor_inspect(example_file):
     assert list(loaded) == ["import", "validate", "invariants", "classify",
                             "apply", "diagonalize", "spectrum"]
     assert all(names == [] for names in loaded.values()), loaded
+
+
+# -- the parser surface and the exit-code families --------------------------
+
+PARSER_SURFACE = {
+    "validate": (["validate", "m.json"], [
+        ("command", "validate"), ("matrix", "m.json"),
+        ("tol_membership", 1e-9), ("pretty", False)]),
+    "invariants": (["invariants", "m.json"], [
+        ("command", "invariants"), ("matrix", "m.json"),
+        ("tol_membership", 1e-9), ("pretty", False)]),
+    "spectrum": (["spectrum", "m.json"], [
+        ("command", "spectrum"), ("matrix", "m.json"),
+        ("tol_membership", 1e-9), ("pretty", False), ("kind", "right"),
+        ("oracle", False), ("tol_spectrum", 1e-7)]),
+    "classify": (["classify", "m.json"], [
+        ("command", "classify"), ("matrix", "m.json"),
+        ("tol_membership", 1e-9), ("pretty", False)]),
+    "apply": (["apply", "--point", "[0,0,0,0]", "m.json"], [
+        ("command", "apply"), ("matrix", "m.json"),
+        ("tol_membership", 1e-9), ("pretty", False),
+        ("point", "[0,0,0,0]")]),
+    "diagonalize": (["diagonalize", "m.json"], [
+        ("command", "diagonalize"), ("matrix", "m.json"),
+        ("tol_membership", 1e-9), ("pretty", False)]),
+    "random": (["random", "--seed", "1"], [
+        ("command", "random"), ("tol_membership", 1e-9), ("pretty", False),
+        ("seed", 1), ("class_hint", None)]),
+    "check-identities": (["check-identities", "--seed", "1"], [
+        ("command", "check-identities"), ("tol_membership", 1e-9),
+        ("pretty", False), ("seed", 1), ("trials", 100), ("matrix", None),
+        ("tol_identity", None)]),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSER_SURFACE))
+def test_parser_surface(command):
+    # every dest, its default and their order; the handler entries are the
+    # callables, and which of them a subcommand carries is not surface
+    argv, expected = PARSER_SURFACE[command]
+    parsed = vars(build_parser().parse_args(argv))
+    assert [(k, v) for k, v in parsed.items() if not callable(v)] == expected
+
+
+def test_parser_lists_the_subcommands_in_order():
+    usage = build_parser().format_usage()
+    assert "{" + ",".join(PARSER_SURFACE) + "}" in usage
+
+
+def _raising(exc):
+    def fail(_t):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("exc", [NotApplicableError, NotEllipticError,
+                                 PoleError, CaseMismatchError])
+def test_not_applicable_family_exits_2(example_file, monkeypatch, exc):
+    monkeypatch.setattr(quatu11.cli, "diagonalize_elliptic",
+                        _raising(exc("no such thing")))
+    proc = run_cli("diagonalize", example_file)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "not applicable: no such thing\n"
+
+
+@pytest.mark.parametrize("exc", [NoRootFoundError, ClaimViolationError])
+def test_numerical_failures_exit_1(example_file, monkeypatch, exc):
+    monkeypatch.setattr(quatu11.cli, "diagonalize_elliptic",
+                        _raising(exc("it failed")))
+    proc = run_cli("diagonalize", example_file)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: it failed\n"
+
+
+def test_bad_point_is_reported_before_the_matrix_is_read():
+    proc = run_cli("apply", "--point", "[NaN,0,0,0]", "/nonexistent.json")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: --point expects a JSON list of four "
+                           "finite numbers\n")
+
+
+def test_injected_matrix_replaces_the_first_draw(example_file, monkeypatch):
+    seeds = []
+
+    def recording(seed, *rest):
+        seeds.append(seed)
+        return random_element(seed, *rest)
+
+    monkeypatch.setattr(quatu11.cli, "random_element", recording)
+    proc = run_cli("check-identities", "--seed", "4", "--trials", "2",
+                   "--matrix", example_file)
+    assert proc.returncode == 0
+    assert sorted(seeds) == [[4, 0, 1], [4, 1, 0], [4, 1, 1]]
