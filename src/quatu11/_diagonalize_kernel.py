@@ -16,10 +16,11 @@ import math
 
 from .diagonalize import CLAIM_TOL, DiagonalizationResult, _unit_point
 from .errors import ClaimViolationError
-from .group import GroupElement, membership_residual, validate
+from .group import (GroupElement, _j_adjoint_parts, membership_residual,
+                    validate)
 from .mat2h import Mat2H, _from_parts, _matmul, _matrix
 from .moebius import DiagonalizationCase, delta
-from .quaternion import Quaternion, _new, solve_similarity
+from .quaternion import Quaternion, _conj, _new, _qmul, solve_similarity
 
 # -- arithmetic on (w, x, y, z) part tuples ---------------------------------
 # Each sums as the Quaternion or Mat2H operation it stands for.
@@ -27,10 +28,6 @@ from .quaternion import Quaternion, _new, solve_similarity
 
 def _parts(q: Quaternion) -> tuple:
     return q.w, q.x, q.y, q.z
-
-
-def _conj(p: tuple) -> tuple:
-    return p[0], -p[1], -p[2], -p[3]
 
 
 def _neg(p: tuple) -> tuple:
@@ -66,25 +63,12 @@ def _inverse(p: tuple) -> tuple:
     return p[0] / n2, -p[1] / n2, -p[2] / n2, -p[3] / n2
 
 
-def _qmul(p: tuple, q: tuple) -> tuple:
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e)
-
-
 def _conjugation_residual(x: tuple, m: Mat2H, d: Mat2H) -> float:
     """||X M J X* J - D||_F for X given as a 16-tuple and diagonal D, with the
-    bits of the Mat2H route: J X* J with the negated conjugates written out
-    (-conj(q) is (-w, x, y, z)), the Frobenius sum over a, b, c, d, and the
+    bits of the Mat2H route: the Frobenius sum over a, b, c, d, and the
     off-diagonal zeros of D dropped, since q - 0.0 == q for every float q."""
-    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = x
-    inverse = (a0, -a1, -a2, -a3, -c0, c1, c2, c3,
-               -b0, b1, b2, b3, d0, -d1, -d2, -d3)
     (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = \
-        _matmul(_matmul(x, _matrix(m)), inverse)
+        _matmul(_matmul(x, _matrix(m)), _j_adjoint_parts(x))
     p, q = d.a, d.d
     a0, a1, a2, a3 = a0 - p.w, a1 - p.x, a2 - p.y, a3 - p.z
     d0, d1, d2, d3 = d0 - q.w, d1 - q.x, d2 - q.y, d3 - q.z

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
-from .mat2h import Mat2H, _from_quaternions, _matmul, _matrix
-from .quaternion import Quaternion, Record
+from .mat2h import Mat2H, _from_parts, _matmul, _matrix
+from .quaternion import Record, _conj, _qmul
 
 MEMBERSHIP_TOL = 1e-9
 MAX_HINT_ATTEMPTS = 100_000
@@ -37,7 +37,12 @@ __all__ = [
 
 def membership_residual(m: Mat2H) -> float:
     """Worst of |a| - |d|, |b| - |c|, |a conj(c) - b conj(d)| and
-    ||T* J T - J||_F; NaN if any of them is NaN.
+    ||T* J T - J||_F; NaN if any of them is NaN."""
+    return _residual(_matrix(m))
+
+
+def _residual(p: tuple) -> float:
+    """membership_residual of the matrix with the 16 parts p.
 
     The other two entry conditions need no term of their own: |a|^2 - |c|^2
     - 1 and conj(a) b - conj(c) d are, bit for bit, the real part of the
@@ -47,7 +52,7 @@ def membership_residual(m: Mat2H) -> float:
     b, c, d), so the result has that route's bits without its objects.
     """
     (aw, ax, ay, az, bw, bx, by, bz,
-     cw, cx, cy, cz, dw, dx, dy, dz) = _matrix(m)
+     cw, cx, cy, cz, dw, dx, dy, dz) = p
     # imaginary parts of conj(c), and -d.w
     cx_, cy_, cz_ = -cx, -cy, -cz
     ndw = -dw
@@ -107,10 +112,16 @@ def validate(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> GroupElement:
     return GroupElement(m, residual)
 
 
+def _j_adjoint_parts(p: tuple) -> tuple:
+    """J M* J on the 16 parts of M, the inverse of M when M is a member:
+    conj(a), -conj(c), -conj(b), conj(d), where -conj(q) is (-w, x, y, z)."""
+    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = p
+    return (a0, -a1, -a2, -a3, -c0, c1, c2, c3,
+            -b0, b1, b2, b3, d0, -d1, -d2, -d3)
+
+
 def _j_adjoint(m: Mat2H) -> Mat2H:
-    """J M* J, written out entrywise; the inverse of M when M is a member."""
-    return _from_quaternions(m.a.conjugate(), -m.c.conjugate(),
-                             -m.b.conjugate(), m.d.conjugate())
+    return _from_parts(_j_adjoint_parts(_matrix(m)))
 
 
 def inverse_u11(t: GroupElement) -> GroupElement:
@@ -121,12 +132,14 @@ def inverse_u11(t: GroupElement) -> GroupElement:
 
 def conjugate(t: GroupElement, g: GroupElement,
               tol: float = MEMBERSHIP_TOL) -> GroupElement:
-    """G T G^-1; t keeps it with g, so a second call with the same g object
-    reuses it.  The drift check (residual <= 100 tol) runs on every call."""
+    """G T G^-1 with the bits of g.m @ t.m @ _j_adjoint(g.m); t keeps it
+    with g, so a second call with the same g object reuses it.  The drift
+    check (residual <= 100 tol) runs on every call."""
     cached = t._conjugate
     if cached is None or cached[0] is not g:
-        product = g.m @ t.m @ _j_adjoint(g.m)
-        cached = (g, GroupElement(product, membership_residual(product)))
+        gp = _matrix(g.m)
+        product = _matmul(_matmul(gp, _matrix(t.m)), _j_adjoint_parts(gp))
+        cached = (g, GroupElement(_from_parts(product), _residual(product)))
         _set_conjugate(t, cached)
     residual = cached[1].membership_residual
     if not residual <= 100.0 * tol:
@@ -136,33 +149,31 @@ def conjugate(t: GroupElement, g: GroupElement,
 
 
 # -- random sampling ------------------------------------------------------
+# On 4- and 16-tuples of parts, each product summed as the Quaternion and
+# Mat2H operation it stands for: the bits of that route (tests/test_group.py).
 
 
-def _unit_vector(rng, k: int) -> list[float]:
+def _unit_vector(rng, k: int) -> tuple:
     """A uniform point on the unit sphere in R^k, by rejecting tiny draws."""
     v = rng.standard_normal(k)
     n = math.sqrt(float(v.dot(v)))
     while n < 1e-6:
         v = rng.standard_normal(k)
         n = math.sqrt(float(v.dot(v)))
-    return [p / n for p in v.tolist()]
+    return tuple([p / n for p in v.tolist()])
 
 
-def _unit_quaternion(rng) -> Quaternion:
-    return Quaternion(*_unit_vector(rng, 4))
-
-
-def _unit_with_bounded_angle(rng, max_re: float) -> Quaternion:
-    u = _unit_quaternion(rng)
-    while abs(u.w) > max_re:
-        u = _unit_quaternion(rng)
+def _unit_with_bounded_angle(rng, max_re: float) -> tuple:
+    u = _unit_vector(rng, 4)
+    while abs(u[0]) > max_re:
+        u = _unit_vector(rng, 4)
     return u
 
 
-def _boost(t: float) -> Mat2H:
+def _boost(t: float) -> tuple:
     ch, sh = math.cosh(t), math.sinh(t)
-    return Mat2H(Quaternion.real(ch), Quaternion.real(sh),
-                 Quaternion.real(sh), Quaternion.real(ch))
+    return (ch, 0.0, 0.0, 0.0, sh, 0.0, 0.0, 0.0,
+            sh, 0.0, 0.0, 0.0, ch, 0.0, 0.0, 0.0)
 
 
 def _boost_parameter(rng, floor: float = 0.0) -> float:
@@ -172,48 +183,47 @@ def _boost_parameter(rng, floor: float = 0.0) -> float:
     return min(abs(float(rng.standard_normal())) + floor, 2.25)
 
 
-def _sandwich(p: Quaternion, q: Quaternion, m: Mat2H,
-              r: Quaternion, s: Quaternion) -> Mat2H:
+def _sandwich(p: tuple, q: tuple, m: tuple, r: tuple, s: tuple) -> tuple:
     """diag(p, q) m diag(r, s) as (p m.a) r, (p m.b) s, (q m.c) r, (q m.d) s;
     the two matmuls would also add a product with a zero entry, which for
     finite entries flips at most the sign of an exact zero, so == holds."""
-    return _from_quaternions((p * m.a) * r, (p * m.b) * s,
-                             (q * m.c) * r, (q * m.d) * s)
+    return (_qmul(_qmul(p, m[0:4]), r) + _qmul(_qmul(p, m[4:8]), s)
+            + _qmul(_qmul(q, m[8:12]), r) + _qmul(_qmul(q, m[12:16]), s))
 
 
-def _generic(rng, floor: float = 0.0) -> Mat2H:
-    p, q, r, s = (_unit_quaternion(rng) for _ in range(4))
+def _generic(rng, floor: float = 0.0) -> tuple:
+    p, q, r, s = (_unit_vector(rng, 4) for _ in range(4))
     return _sandwich(p, q, _boost(_boost_parameter(rng, floor)), r, s)
 
 
-def _diag_unit_conjugate(rng, base: Mat2H) -> Mat2H:
-    p, q = _unit_quaternion(rng), _unit_quaternion(rng)
-    return _sandwich(p, q, base, p.conjugate(), q.conjugate())
+def _diag_unit_conjugate(rng, base: tuple) -> tuple:
+    p, q = _unit_vector(rng, 4), _unit_vector(rng, 4)
+    return _sandwich(p, q, base, _conj(p), _conj(q))
 
 
-def _parabolic_base(rng) -> Mat2H:
+def _parabolic_base(rng) -> tuple:
     mu = float(rng.standard_normal())
     while abs(mu) < 0.05:
         mu = float(rng.standard_normal())
     sign = -1.0 if rng.random() < 0.5 else 1.0
-    base = Mat2H(Quaternion(1.0, mu), Quaternion(0.0, -mu),
-                 Quaternion(0.0, mu), Quaternion(1.0, -mu))
-    return sign * base
+    # sign * base scales each part, as Mat2H.__rmul__ does
+    return tuple([sign * p for p in (1.0, mu, 0.0, 0.0, 0.0, -mu, 0.0, 0.0,
+                                     0.0, mu, 0.0, 0.0, 1.0, -mu, 0.0, 0.0)])
 
 
-def _candidate(rng, hint: str | None) -> Mat2H:
+def _candidate(rng, hint: str | None) -> tuple:
     if hint is None:
         return _generic(rng)
     if hint == "SimpleElliptic":
         u = _unit_with_bounded_angle(rng, 0.9)
-        g = _unit_quaternion(rng)
-        base = Mat2H.diag(u, g * u * g.conjugate())
+        g = _unit_vector(rng, 4)
+        base = u + (0.0,) * 8 + _qmul(_qmul(g, u), _conj(g))
     elif hint == "CompoundElliptic":
         u = _unit_with_bounded_angle(rng, 0.9)
         v = _unit_with_bounded_angle(rng, 0.9)
-        while abs(u.w - v.w) < 0.1:
+        while abs(u[0] - v[0]) < 0.1:
             v = _unit_with_bounded_angle(rng, 0.9)
-        base = Mat2H.diag(u, v)
+        base = u + (0.0,) * 8 + v
     elif hint == "SimpleParabolic":
         return _diag_unit_conjugate(rng, _parabolic_base(rng))
     elif hint == "CompoundParabolic":
@@ -223,9 +233,11 @@ def _candidate(rng, hint: str | None) -> Mat2H:
         # sinh^2 |u1 u4 - conj(u2 u3)|^2 - cosh^2 (Re u1 u3 - Re u2 u4)^2,
         # so tanh t matching the ratio of the two factors kills it exactly.
         while True:
-            u1, u2, u3, u4 = (_unit_quaternion(rng) for _ in range(4))
-            kappa1 = (u1 * u4 - (u2 * u3).conjugate()).norm()
-            kappa2 = abs((u1 * u3).w - (u2 * u4).w)
+            u1, u2, u3, u4 = (_unit_vector(rng, 4) for _ in range(4))
+            w, x, y, z = [p - q for p, q in
+                          zip(_qmul(u1, u4), _conj(_qmul(u2, u3)))]
+            kappa1 = math.sqrt(w * w + x * x + y * y + z * z)
+            kappa2 = abs(_qmul(u1, u3)[0] - _qmul(u2, u4)[0])
             if kappa1 > 1e-3 and 0.05 <= kappa2 / kappa1 <= 0.95:
                 break
         t = math.atanh(kappa2 / kappa1)
@@ -237,13 +249,14 @@ def _candidate(rng, hint: str | None) -> Mat2H:
         return _sandwich(u1, u2, _boost(t), u3, u4)
     elif hint == "SimpleLoxodromic":
         sign = -1.0 if rng.random() < 0.5 else 1.0
-        return _diag_unit_conjugate(rng, sign * _boost(_boost_parameter(rng, 0.3)))
+        base = _boost(_boost_parameter(rng, 0.3))
+        return _diag_unit_conjugate(rng, tuple([sign * p for p in base]))
     elif hint == "CompoundLoxodromic":
         return _generic(rng, 0.3)
     else:
         raise ValueError(f"unknown class hint {hint!r}")
     conjugator = _generic(rng)
-    return conjugator @ base @ _j_adjoint(conjugator)
+    return _matmul(_matmul(conjugator, base), _j_adjoint_parts(conjugator))
 
 
 def random_element(seed, class_hint: str | None = None,
@@ -252,10 +265,12 @@ def random_element(seed, class_hint: str | None = None,
     """Seeded random group element, optionally from a requested class.
 
     Generic samples are D1 @ B(t) @ D2 with unit-quaternion diagonals and a
-    hyperbolic boost B(t), t = |N(0, 1)|.  Class hints draw from seed
-    families tailored to the class and reject until the classifier agrees;
-    the parabolic families are constructed directly since rejection alone
-    would never hit a measure-zero stratum.
+    hyperbolic boost B(t), t = min(|N(0, 1)| + floor, 2.25) (see
+    `_boost_parameter`), with floor 0.3 for the loxodromic hints and 0
+    otherwise.  Class hints draw from seed families tailored to the class
+    and reject until the classifier agrees; the parabolic families are
+    constructed directly since rejection alone would never hit a
+    measure-zero stratum.
     """
     import numpy as np
     from .moebius import MoebiusClass, classify  # late import, avoids a cycle
@@ -266,11 +281,11 @@ def random_element(seed, class_hint: str | None = None,
             raise ValueError(f"unknown class hint {class_hint!r}")
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
-        mat = _candidate(rng, class_hint)
-        residual = membership_residual(mat)
+        parts = _candidate(rng, class_hint)
+        residual = _residual(parts)
         if not residual <= tol:
             continue
-        element = GroupElement(mat, residual)
+        element = GroupElement(_from_parts(parts), residual)
         if class_hint is None or classify(element).value == class_hint:
             return element
     raise HintExhaustedError(

@@ -220,6 +220,21 @@ def _new(w, x, y, z) -> Quaternion:
     return out
 
 
+def _qmul(p: tuple, q: tuple) -> tuple:
+    """Quaternion.__mul__ on (w, x, y, z) part tuples, with its bits."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
+def _conj(p: tuple) -> tuple:
+    """Quaternion.conjugate on a part tuple."""
+    return p[0], -p[1], -p[2], -p[3]
+
+
 def _coerce(value):
     if isinstance(value, Quaternion):
         return value

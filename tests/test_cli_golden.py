@@ -14,8 +14,9 @@ and should only be rewritten that way for a deliberate output change.
 
 `check_identities_seed3.txt` is the exact stdout of `quatu11
 check-identities --seed 3 --trials 200`: the sampler, the power chain and
-every identity residual, printed to the last bit.  Like the class matrices
-it also rests on numpy's seeded normal draws.
+every identity residual, printed to the last bit.  `random_seed1.json` is
+that of `quatu11 random --seed 1`, the hint-free draw.  Like the class
+matrices both also rest on numpy's seeded normal draws.
 """
 
 import contextlib
@@ -32,6 +33,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
 CHECK_IDENTITIES = GOLDEN / "check_identities_seed3.txt"
 CHECK_IDENTITIES_ARGS = ["check-identities", "--seed", "3", "--trials", "200"]
+RANDOM_SEED1 = GOLDEN / "random_seed1.json"
+RANDOM_SEED1_ARGS = ["random", "--seed", "1"]
 
 MATRICES = ["SimpleElliptic", "CompoundElliptic", "SimpleParabolic",
             "CompoundParabolic", "SimpleLoxodromic", "CompoundLoxodromic",
@@ -85,9 +88,16 @@ def test_check_identities_output_is_byte_identical():
     assert _main(CHECK_IDENTITIES_ARGS) == {"exit": 0, "stdout": want}
 
 
+def test_hint_free_random_output_is_byte_identical():
+    want = RANDOM_SEED1.read_text(encoding="utf-8")
+    assert _main(RANDOM_SEED1_ARGS) == {"exit": 0, "stdout": want}
+
+
 if __name__ == "__main__":
     doc = {f"{c} {m}": _run(c, m) for c, m in CASES}
     EXPECTED.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     CHECK_IDENTITIES.write_text(_main(CHECK_IDENTITIES_ARGS)["stdout"],
                                 encoding="utf-8")
+    RANDOM_SEED1.write_text(_main(RANDOM_SEED1_ARGS)["stdout"],
+                            encoding="utf-8")

@@ -1,19 +1,25 @@
 """Group membership, the J-unitary inverse, conjugation, and sampling."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quatu11.mat2h
+import quatu11.moebius
 from quatu11 import (J, Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
                      inverse_u11, membership_residual, random_element,
                      validate)
 from quatu11.errors import (HintExhaustedError, MembershipDriftError,
                             MembershipError)
-from quatu11.group import (MEMBERSHIP_TOL, _boost, _boost_parameter,
-                           _candidate, _j_adjoint, _parabolic_base, _sandwich)
+from quatu11.group import (MEMBERSHIP_TOL, GroupElement, _boost,
+                           _boost_parameter, _candidate, _j_adjoint,
+                           _sandwich)
+from quatu11.mat2h import _from_parts, _matrix
 from quatu11.moebius import classify
+from quatu11.quaternion import _conj
 
 R2 = math.sqrt(2)
 
@@ -184,6 +190,79 @@ def test_conjugate_cache_hit_still_checks_drift(generic_pool):
     assert conjugate(t, g).membership_residual == residual
 
 
+# -- Quaternion-form bodies: the bit reference of the part-tuple routes ----
+
+
+def _quaternion_matmul(m: Mat2H, n: Mat2H) -> Mat2H:
+    """m @ n with each entry formed as Quaternion p * r + q * s."""
+    return Mat2H(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                 m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
+def _quaternion_j_adjoint(m: Mat2H) -> Mat2H:
+    """J M* J, written out entrywise."""
+    return Mat2H(m.a.conjugate(), -m.c.conjugate(),
+                 -m.b.conjugate(), m.d.conjugate())
+
+
+def _quaternion_boost(t: float) -> Mat2H:
+    ch, sh = math.cosh(t), math.sinh(t)
+    return Mat2H(Quaternion.real(ch), Quaternion.real(sh),
+                 Quaternion.real(sh), Quaternion.real(ch))
+
+
+def _parabolic(mu: float, sign: float) -> Mat2H:
+    return sign * Mat2H(Quaternion(1.0, mu), Quaternion(0.0, -mu),
+                        Quaternion(0.0, mu), Quaternion(1.0, -mu))
+
+
+def _quaternion_parabolic_base(rng) -> Mat2H:
+    mu = float(rng.standard_normal())
+    while abs(mu) < 0.05:
+        mu = float(rng.standard_normal())
+    return _parabolic(mu, -1.0 if rng.random() < 0.5 else 1.0)
+
+
+def _dyadic_elements(count: int) -> list:
+    """Off-group matrices whose parts are mostly signed zeros, wrapped as
+    GroupElements: every product is exact, so only the sign of a zero
+    tells one order of operations from another."""
+    rng = np.random.default_rng(211)
+    values = [0.0, -0.0, 0.5, -1.0, 1.5, -2.0]
+    weights = [0.35, 0.35, 0.075, 0.075, 0.075, 0.075]
+    out = []
+    for _ in range(count):
+        m = _from_parts(tuple(float(v) for v in rng.choice(values, 16,
+                                                           p=weights)))
+        out.append(GroupElement(m, membership_residual(m)))
+    return out
+
+
+def _conjugation_pairs(class_pool, generic_pool) -> list:
+    members = [t for pool in class_pool.values() for t in pool]
+    members += generic_pool[:30]
+    dyadic = _dyadic_elements(1000)
+    return [pair for elements in (members, dyadic)
+            for pair in zip(elements, elements[1:] + elements[:1])]
+
+
+def test_conjugate_keeps_the_bits_of_the_matmul_route(class_pool,
+                                                      generic_pool):
+    for t, g in _conjugation_pairs(class_pool, generic_pool):
+        # the dyadic matrices are off the group, so no drift bound applies
+        got = conjugate(t, g, tol=math.inf)
+        want = _quaternion_matmul(_quaternion_matmul(g.m, t.m),
+                                  _quaternion_j_adjoint(g.m))
+        assert repr(got.m) == repr(want)
+        assert repr(g.m @ t.m @ _j_adjoint(g.m)) == repr(want)
+        assert float.hex(got.membership_residual) == \
+            float.hex(membership_residual(want))
+        inverse, want = inverse_u11(g), _quaternion_j_adjoint(g.m)
+        assert repr(inverse.m) == repr(want)
+        assert float.hex(inverse.membership_residual) == \
+            float.hex(membership_residual(want))
+
+
 # -- the sampler against the matmul route it replaced ----------------------
 
 
@@ -208,7 +287,7 @@ def _matmul_generic(rng, floor: float = 0.0) -> Mat2H:
                       _matmul_unit_quaternion(rng))
     right = Mat2H.diag(_matmul_unit_quaternion(rng),
                        _matmul_unit_quaternion(rng))
-    return left @ _boost(_boost_parameter(rng, floor)) @ right
+    return left @ _quaternion_boost(_boost_parameter(rng, floor)) @ right
 
 
 def _matmul_diag_unit_conjugate(rng, base: Mat2H) -> Mat2H:
@@ -231,7 +310,8 @@ def _matmul_candidate(rng, hint):
             v = _matmul_bounded_unit(rng)
         base = Mat2H.diag(u, v)
     elif hint == "SimpleParabolic":
-        return _matmul_diag_unit_conjugate(rng, _parabolic_base(rng))
+        return _matmul_diag_unit_conjugate(rng,
+                                           _quaternion_parabolic_base(rng))
     elif hint == "CompoundParabolic":
         while True:
             u1, u2, u3, u4 = (_matmul_unit_quaternion(rng) for _ in range(4))
@@ -244,16 +324,16 @@ def _matmul_candidate(rng, hint):
             sh, ch = math.sinh(t), math.cosh(t)
             dlt = (sh * kappa1) ** 2 - (ch * kappa2) ** 2
             t -= dlt / (2.0 * sh * ch * (kappa1 ** 2 - kappa2 ** 2))
-        return Mat2H.diag(u1, u2) @ _boost(t) @ Mat2H.diag(u3, u4)
+        return Mat2H.diag(u1, u2) @ _quaternion_boost(t) @ Mat2H.diag(u3, u4)
     elif hint == "SimpleLoxodromic":
         sign = -1.0 if rng.random() < 0.5 else 1.0
         return _matmul_diag_unit_conjugate(
-            rng, sign * _boost(_boost_parameter(rng, 0.3)))
+            rng, sign * _quaternion_boost(_boost_parameter(rng, 0.3)))
     else:
         assert hint == "CompoundLoxodromic"
         return _matmul_generic(rng, 0.3)
     conjugator = _matmul_generic(rng)
-    return conjugator @ base @ _j_adjoint(conjugator)
+    return conjugator @ base @ _quaternion_j_adjoint(conjugator)
 
 
 @pytest.mark.parametrize("hint", [None] + [c.value for c in MoebiusClass])
@@ -264,7 +344,7 @@ def test_sampler_keeps_the_bits_of_the_matmul_route(hint):
         rng = np.random.default_rng([97, seed])
         twin = np.random.default_rng([97, seed])
         for _ in range(2):  # the second candidate follows a rejection
-            assert repr(_candidate(rng, hint)) == \
+            assert repr(_from_parts(_candidate(rng, hint))) == \
                 repr(_matmul_candidate(twin, hint))
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -279,15 +359,10 @@ def unit_quaternions(draw):
     return q.normalized()
 
 
-def _parabolic(mu: float, sign: float) -> Mat2H:
-    return sign * Mat2H(Quaternion(1.0, mu), Quaternion(0.0, -mu),
-                        Quaternion(0.0, mu), Quaternion(1.0, -mu))
-
-
 middles = st.one_of(
     st.floats(min_value=0.0, max_value=2.25).map(_boost),
     st.builds(_parabolic, st.floats(min_value=-4.0, max_value=4.0),
-              st.sampled_from([-1.0, 1.0])))
+              st.sampled_from([-1.0, 1.0])).map(_matrix))
 
 
 @settings(deadline=None)
@@ -296,10 +371,62 @@ middles = st.one_of(
 def test_sandwich_equals_the_two_matmuls(p, q, m, r, s):
     # == on floats ignores the sign of zero, and that sign is all the two
     # routes may differ in: the matmuls add a signed zero to each component.
-    want = Mat2H.diag(p, q) @ m @ Mat2H.diag(r, s)
-    assert _sandwich(p, q, m, r, s) == want
-    assert _sandwich(p, q, m, p.conjugate(), q.conjugate()) == \
-        Mat2H.diag(p, q) @ m @ Mat2H.diag(p, q).adjoint()
+    assert repr(_from_parts(_boost(0.5))) == repr(_quaternion_boost(0.5))
+    pp, qp, rp, sp = (tuple(u.as_list()) for u in (p, q, r, s))
+    want = Mat2H.diag(p, q) @ _from_parts(m) @ Mat2H.diag(r, s)
+    assert _from_parts(_sandwich(pp, qp, m, rp, sp)) == want
+    assert _from_parts(_sandwich(pp, qp, m, _conj(pp), _conj(qp))) == \
+        Mat2H.diag(p, q) @ _from_parts(m) @ Mat2H.diag(p, q).adjoint()
+
+
+def test_sampler_and_conjugate_build_no_quaternion_arithmetic(
+        class_pool, generic_pool, monkeypatch):
+    # Both run on part tuples and build one Mat2H for each element they
+    # make: the one returned, or for a class hint each one classified.
+    calls, built, classified = [], Counter(), Counter()
+    for cls, names in ((Quaternion, ("__add__", "__radd__", "__sub__",
+                                     "__rsub__", "__mul__", "__rmul__",
+                                     "__neg__", "__pow__", "inverse",
+                                     "conjugate", "normalized", "imag")),
+                       (Mat2H, ("__add__", "__sub__", "__matmul__",
+                                "__rmul__", "adjoint"))):
+        for name in names:
+            def counting(*args, _name=name, _method=getattr(cls, name)):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+
+    # every Mat2H comes from Mat2H.__init__ or mat2h._from_quaternions
+    def init(*args, _init=Mat2H.__init__):
+        built["Mat2H"] += 1
+        return _init(*args)
+
+    def from_quaternions(*args, _build=quatu11.mat2h._from_quaternions):
+        built["Mat2H"] += 1
+        return _build(*args)
+
+    def counted_classify(t, _classify=quatu11.moebius.classify):
+        classified["elements"] += 1
+        return _classify(t)
+
+    monkeypatch.setattr(Mat2H, "__init__", init)
+    monkeypatch.setattr(quatu11.mat2h, "_from_quaternions", from_quaternions)
+    monkeypatch.setattr(quatu11.moebius, "classify", counted_classify)
+    for hint in [None] + [c.value for c in MoebiusClass]:
+        for k in range(20):
+            built.clear()
+            classified.clear()
+            random_element([73, k], hint)
+            assert built["Mat2H"] == (1 if hint is None
+                                      else classified["elements"])
+    for t, g in _conjugation_pairs(class_pool, generic_pool)[:60]:
+        t = GroupElement(t.m, t.membership_residual)  # nothing cached yet
+        built.clear()
+        first = conjugate(t, g, tol=math.inf)
+        assert conjugate(t, g, tol=math.inf) is first
+        assert built["Mat2H"] == 1
+    assert calls == []
 
 
 def test_random_element_is_deterministic():

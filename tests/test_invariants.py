@@ -168,15 +168,16 @@ def test_identity_checks_form_each_product_once(monkeypatch):
         products += 1
         return matmul(m, n)
 
-    # the one matrix product, under the names Mat2H @ and the power chain
-    # call it by
-    for module in (quatu11.mat2h, quatu11.invariants):
+    # the one matrix product, under the names Mat2H @, the power chain and
+    # conjugate call it by
+    for module in (quatu11.mat2h, quatu11.invariants, quatu11.group):
         monkeypatch.setattr(module, "_matmul", counted)
     for check in IDENTITY_CHECKS:
         check.fn(t, g)
-    # four for T^2, T^3, T^4, T^6 and two for the one conjugation G T G^-1,
-    # which delta_similarity and trace_similarity share
-    assert products == 6
+    # four for T^2, T^3, T^4, T^6, two for the one conjugation G T G^-1,
+    # which delta_similarity and trace_similarity share, and one for the
+    # Gram term G T G^-1* J G T G^-1 of its membership residual
+    assert products == 7
 
 
 def test_report_fields(example):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from quatu11 import ONE, QI, QJ, QK, ZERO, Quaternion, is_similar, solve_similarity
 from quatu11.errors import NotSimilarError
+from quatu11.quaternion import _conj, _qmul
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -42,6 +43,17 @@ def test_multiplication_associative(p, q, r):
     lhs = (p * q) * r
     rhs = p * (q * r)
     assert (lhs - rhs).norm() <= 1e-9 * (1.0 + p.norm() * q.norm() * r.norm())
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
+signed_quaternions = st.builds(Quaternion, signed, signed, signed, signed)
+
+
+@given(p=signed_quaternions, q=signed_quaternions)
+def test_part_forms_keep_the_bits_of_the_quaternion_operations(p, q):
+    # repr shows the sign of a zero and every last bit, overflow included.
+    assert repr(_qmul(p.as_list(), q.as_list())) == repr(tuple((p * q).as_list()))
+    assert repr(_conj(p.as_list())) == repr(tuple(p.conjugate().as_list()))
 
 
 @given(p=quaternions, q=quaternions)
