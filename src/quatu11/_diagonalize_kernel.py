@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .diagonalize import CLAIM_TOL, DiagonalizationResult, _unit_point
-from .errors import ClaimViolationError
+from .diagonalize import CLAIM_TOL, DiagonalizationResult
+from .errors import CaseMismatchError, ClaimViolationError
 from .group import (GroupElement, _j_adjoint_parts, membership_residual,
                     validate)
 from .mat2h import Mat2H, _from_parts, _matmul, _matrix
@@ -115,6 +115,17 @@ def case2(t: GroupElement) -> DiagonalizationResult:
     return DiagonalizationResult(xe, d, _conjugation_residual(x, m, d),
                                  xe.membership_residual,
                                  DiagonalizationCase.CASE2)
+
+
+def _unit_point(s0: float) -> Quaternion:
+    radicand = 1.0 - s0 * s0
+    if radicand < -1e-9:
+        raise CaseMismatchError(f"spectrum point {s0:.17g} left the unit circle")
+    if radicand <= 1e-12:
+        # sqrt is non-Lipschitz at the degenerate point: 1e-15 of roundoff
+        # in delta would otherwise smear into a 3e-8 imaginary part.
+        return Quaternion(s0, 0.0)
+    return Quaternion(s0, math.sqrt(radicand))
 
 
 def case3(t: GroupElement) -> DiagonalizationResult:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import CaseMismatchError, NotEllipticError
+from .errors import NotEllipticError
 from .group import GroupElement
 from .mat2h import Mat2H
 from .moebius import DiagonalizationCase, stratum
-from .quaternion import Quaternion, Record
+from .quaternion import Record
 
 CLAIM_TOL = 1e-6
 
@@ -89,14 +89,3 @@ def diagonalize_elliptic(t: GroupElement) -> DiagonalizationResult:
     if case is DiagonalizationCase.CASE2:
         return kernel.case2(t)
     return kernel.case3(t)
-
-
-def _unit_point(s0: float) -> Quaternion:
-    radicand = 1.0 - s0 * s0
-    if radicand < -1e-9:
-        raise CaseMismatchError(f"spectrum point {s0:.17g} left the unit circle")
-    if radicand <= 1e-12:
-        # sqrt is non-Lipschitz at the degenerate point: 1e-15 of roundoff
-        # in delta would otherwise smear into a 3e-8 imaginary part.
-        return Quaternion(s0, 0.0)
-    return Quaternion(s0, math.sqrt(radicand))

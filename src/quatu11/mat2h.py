@@ -124,17 +124,17 @@ class Mat2H(Record):
     # -- complex adjoint --------------------------------------------------
 
     def chi(self) -> np.ndarray:
+        """Block rows (z, v), (-conj(v), conj(z)) of each entry as one array
+        of 32 float parts; float() first, so an int 0 negates to -0.0."""
         import numpy as np
-        out = np.empty((4, 4), dtype=complex)
-        for row, col, q in ((0, 0, self.a), (0, 2, self.b),
-                            (2, 0, self.c), (2, 2, self.d)):
-            z = complex(q.w, q.x)
-            v = complex(q.y, q.z)
-            out[row, col] = z
-            out[row, col + 1] = v
-            out[row + 1, col] = -v.conjugate()
-            out[row + 1, col + 1] = z.conjugate()
-        return out
+        a, b, c, d = self.a, self.b, self.c, self.d
+        f = float
+        return np.array((
+            a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z,
+            -f(a.y), a.z, a.w, -f(a.x), -f(b.y), b.z, b.w, -f(b.x),
+            c.w, c.x, c.y, c.z, d.w, d.x, d.y, d.z,
+            -f(c.y), c.z, c.w, -f(c.x), -f(d.y), d.z, d.w, -f(d.x),
+        ), dtype=float).view(complex).reshape(4, 4)
 
     def is_singular(self, tol: float = SINGULAR_TOL) -> bool:
         import numpy as np

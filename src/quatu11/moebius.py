@@ -19,9 +19,9 @@ import math
 from enum import Enum
 
 from .errors import BallViolationError, MembershipError, PoleError
-from .group import GroupElement
-from .mat2h import Mat2H
-from .quaternion import Quaternion
+from .group import GroupElement, _set_stratum
+from .mat2h import Mat2H, _matrix
+from .quaternion import Quaternion, _new, _qmul
 
 EPS_CLASS = 1e-10
 POLE_TOL = 1e-14
@@ -55,15 +55,20 @@ class MoebiusClass(Enum):
 
 
 def apply(t: GroupElement, z: Quaternion) -> Quaternion:
-    """Evaluate the ball action (a z + b)(c z + d)^-1 at z, |z| < 1."""
-    if z.norm() >= 1.0:
+    """Evaluate the ball action (a z + b)(c z + d)^-1 at z, |z| < 1, on part
+    tuples with the bits of the Quaternion route; NaN fails each gate."""
+    if not z.norm() < 1.0:
         raise ValueError("the Moebius action is defined on the open unit ball")
-    m = t.m
-    denominator = m.c * z + m.d
-    if denominator.norm() <= POLE_TOL:
+    p, zp = _matrix(t.m), (z.w, z.x, z.y, z.z)
+    w, x, y, s = _qmul(p[8:12], zp)
+    w, x, y, s = w + p[12], x + p[13], y + p[14], s + p[15]
+    n2 = w * w + x * x + y * y + s * s
+    if math.sqrt(n2) <= POLE_TOL:
         raise PoleError("denominator c z + d vanished")
-    image = (m.a * z + m.b) * denominator.inverse()
-    if image.norm() >= 1.0 + BALL_SLACK:
+    e, f, g, h = _qmul(p[0:4], zp)
+    image = _new(*_qmul((e + p[4], f + p[5], g + p[6], h + p[7]),
+                        (w / n2, -x / n2, -y / n2, -s / n2)))
+    if not image.norm() < 1.0 + BALL_SLACK:
         raise BallViolationError(
             f"image modulus {image.norm():.17g} escaped the unit ball")
     return image
@@ -81,8 +86,16 @@ def delta(m: Mat2H) -> float:
 
 
 def stratum(t: GroupElement) -> tuple[DiagonalizationCase, MoebiusClass]:
-    """The diagonalization case (row of the table above) and class of T."""
-    m = t.m
+    """The diagonalization case (row of the table above) and class of T,
+    kept on t (EPS_CLASS is a constant); a MembershipError is not kept."""
+    pair = t._stratum
+    if pair is None:
+        pair = _decide(t.m)
+        _set_stratum(t, pair)
+    return pair
+
+
+def _decide(m: Mat2H) -> tuple[DiagonalizationCase, MoebiusClass]:
     eps = EPS_CLASS * (1.0 + m.frobenius())
     b_zero = m.b.norm() <= eps
     c_zero = m.c.norm() <= eps

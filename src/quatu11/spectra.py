@@ -25,7 +25,7 @@ from .group import GroupElement, _unit_vector
 from .mat2h import Mat2H, _matrix
 from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
                       stratum)
-from .quaternion import Quaternion, Record
+from .quaternion import Quaternion, Record, _qmul
 
 SPECTRUM_TOL = 1e-7
 COLLAPSE_TOL = 1e-10
@@ -178,7 +178,11 @@ def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
             return RightSpectrum.from_pairs(
                 [(d0 + root, abs(d0 + root)), (d0 - root, abs(d0 - root))])
         return RightSpectrum.from_pairs([(d0, 1.0)])
-    trace_half = (m.c.conjugate().inverse() * m.b * m.d.conjugate() + m.d).w
+    # Re(conj(c)^-1 b conj(d) + d) with the bits of the Quaternion route
+    c, d, n2 = m.c, m.d, m.c.norm_sq()
+    l0, l1, l2, l3 = _qmul((c.w / n2, c.x / n2, c.y / n2, c.z / n2),
+                           (m.b.w, m.b.x, m.b.y, m.b.z))
+    trace_half = (l0 * d.w + l1 * d.x + l2 * d.y + l3 * d.z) + d.w
     if cls is MoebiusClass.COMPOUND_PARABOLIC:
         return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
     dlt = delta(m)
@@ -205,7 +209,7 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
     """
     import numpy as np
     eigenvalues = np.linalg.eigvals(m.chi())
-    pairs = sorted((float(e.real), float(abs(e))) for e in eigenvalues)
+    pairs = sorted((e.real, abs(e)) for e in eigenvalues.tolist())
     clusters: list[list[float]] = []
     for re, mod in pairs:
         if clusters:

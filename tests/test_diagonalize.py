@@ -16,12 +16,13 @@ import quatu11.diagonalize
 import quatu11.mat2h
 from quatu11 import (DiagonalizationCase, Mat2H, QI, QJ, Quaternion,
                      classify, delta_legacy, diagonalize_elliptic,
-                     random_element, right_spectrum, right_spectrum_casewise,
-                     stratum, validate)
-from quatu11.diagonalize import (CLAIM_TOL, DiagonalizationResult,
-                                 _unit_point)
-from quatu11.errors import (ClaimViolationError, NotApplicableError,
-                            NotEllipticError, QuatU11Error)
+                     random_element, report, right_spectrum,
+                     right_spectrum_casewise, stratum, validate)
+from quatu11._diagonalize_kernel import _unit_point
+from quatu11.diagonalize import CLAIM_TOL, DiagonalizationResult
+from quatu11.errors import (ClaimViolationError, MembershipError,
+                            NotApplicableError, NotEllipticError,
+                            QuatU11Error)
 from quatu11.group import GroupElement, _j_adjoint, membership_residual
 from quatu11.moebius import EPS_CLASS, delta
 from quatu11.quaternion import solve_similarity
@@ -140,6 +141,44 @@ def test_one_stratum_decision_per_diagonalization(class_pool, monkeypatch):
         cases.add(diagonalize_elliptic(t).case_used)
         assert len(calls) == 1
     assert cases == set(DiagonalizationCase)
+
+
+def test_one_stratum_decision_per_element(class_pool, monkeypatch):
+    # report, classify, right_spectrum_casewise and diagonalize_elliptic
+    # all read the stratum; it is decided once and kept on the element.
+    decisions = []
+
+    def counting(m, _decide=quatu11.moebius._decide):
+        decisions.append(m)
+        return _decide(m)
+
+    monkeypatch.setattr(quatu11.moebius, "_decide", counting)
+    matrices = [t.m for name in ("SimpleElliptic", "CompoundElliptic")
+                for t in class_pool[name]]
+    matrices.append(Mat2H.diag(QI, QJ))
+    cases = set()
+    for m in matrices:
+        decisions.clear()
+        t = validate(m)
+        report(t)
+        cls = classify(t)
+        right_spectrum_casewise(t)
+        cases.add(diagonalize_elliptic(t).case_used)
+        assert len(decisions) == 1
+        fresh = validate(m)
+        assert stratum(fresh) == stratum(t) and stratum(t)[1] is cls
+        assert len(decisions) == 2
+    assert cases == set(DiagonalizationCase)
+
+    bad = GroupElement(Mat2H(Quaternion(1.0), QI, Quaternion(),
+                             Quaternion(1.0)), 0.0)
+    decisions.clear()
+    for call in (classify, right_spectrum_casewise, diagonalize_elliptic,
+                 stratum):
+        with pytest.raises(MembershipError):
+            call(bad)
+    assert len(decisions) == 4 and bad._stratum is None
+    assert report(bad).delta_legacy is None and len(decisions) == 5
 
 
 def test_result_serializes(example):
@@ -358,38 +397,10 @@ def _rng303_band(sh, count=200):
             for _ in range(count)]
 
 
-def _signed_zero_inputs():
-    """Case-2 and Case-3 elements whose entries have signed-zero parts."""
-    out = []
-    for z1, z2, z3 in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0),
-                       (0.0, -0.0, 0.0)):
-        # Case 2: [[conj(d), conj(c)], [c, d]] with c and d in one complex
-        # slice and |d|^2 == 1 + |c|^2
-        for axis in (1, 2, 3):
-            for c0, cs, d0 in ((1.0, z1, 0.5), (z2, 1.0, -0.25),
-                               (0.6, -0.8, z3), (z1, 2.0, 0.75)):
-                cp, dp = [c0, z1, z2, z3], [d0, z3, z1, z2]
-                cp[axis] = cs
-                dp[axis] = math.sqrt(1.0 + c0 * c0 + cs * cs - d0 * d0)
-                c, d = Quaternion(*cp), Quaternion(*dp)
-                out.append(validate(Mat2H(d.conjugate(), c.conjugate(), c, d)))
-        # Case 3: diag(u, v) B(t) with Re u far from Re v and a small boost
-        for sh in (0.1, 0.2):
-            ch = math.sqrt(1.0 + sh * sh)
-            boost = Mat2H(Quaternion(ch, z1, z2, z3), Quaternion(sh, z3, z1, z2),
-                          Quaternion(sh, z2, z3, z1), Quaternion(ch, z3, z2, z1))
-            for u, v in (((0.6, 0.8, z1, z2), (-0.6, z3, 0.8, z2)),
-                         ((0.8, z2, z1, 0.6), (z1, z3, -1.0, z2)),
-                         ((1.0, z1, z2, z3), (z3, 1.0, z1, z2))):
-                out.append(validate(Mat2H.diag(Quaternion(*u), Quaternion(*v))
-                                    @ boost))
-    return out
-
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _diagonalize_bit_pool(class_pool, example):
+def _diagonalize_bit_pool(class_pool, example, signed_zero_inputs):
     pool = [t for name in ("SimpleElliptic", "CompoundElliptic")
             for t in class_pool[name]]
     pool += [random_element([91, k], hint) for k in range(40)
@@ -401,29 +412,31 @@ def _diagonalize_bit_pool(class_pool, example):
     pool += _near_diagonal_band()
     for sh in BAND_SINH:
         pool += _rng303_band(sh)
-    pool += _signed_zero_inputs()
+    pool += signed_zero_inputs
     pool.append(validate(Mat2H.diag(QI, QJ)))
     return pool
 
 
-def test_diagonalize_matches_quaternion_route(class_pool, example):
+def test_diagonalize_matches_quaternion_route(class_pool, example,
+                                              signed_zero_inputs):
     branches = Counter()
-    for t in _diagonalize_bit_pool(class_pool, example):
+    for t in _diagonalize_bit_pool(class_pool, example, signed_zero_inputs):
         want = _diagonalize_outcome(
             lambda t: _diagonalize_by_quaternions(t, branches), t)
         assert _diagonalize_outcome(diagonalize_elliptic, t) == want, t
     assert set(branches) == {"Case1", "Case2", "Case3", "claim residual"}
-    assert {stratum(t) for t in _signed_zero_inputs()} == {
+    assert {stratum(t) for t in signed_zero_inputs} == {
         (DiagonalizationCase.CASE2, quatu11.MoebiusClass.SIMPLE_ELLIPTIC),
         (DiagonalizationCase.CASE3, quatu11.MoebiusClass.COMPOUND_ELLIPTIC)}
 
 
 def test_diagonalize_builds_no_quaternion_arithmetic(class_pool, example,
+                                                     signed_zero_inputs,
                                                      monkeypatch):
     # Cases 2 and 3 run on component floats; Quaternions and matrices are
     # only built for X and D, and only solve_similarity, called in its
     # Quaternion form, does Quaternion arithmetic.
-    pool = _diagonalize_bit_pool(class_pool, example)
+    pool = _diagonalize_bit_pool(class_pool, example, signed_zero_inputs)
     calls, similarity_depth = [], [0]
 
     def similarity(*args, _solve=quatu11._diagonalize_kernel.solve_similarity):

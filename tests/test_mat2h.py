@@ -139,6 +139,36 @@ def test_chi_is_a_homomorphism():
         assert np.max(np.abs(m.chi().conj().T - m.adjoint().chi())) == 0.0
 
 
+def _chi_by_entries(m: Mat2H) -> np.ndarray:
+    """chi filled block by block from Python complexes: the bit reference."""
+    out = np.empty((4, 4), dtype=complex)
+    for row, col, q in ((0, 0, m.a), (0, 2, m.b), (2, 0, m.c), (2, 2, m.d)):
+        z = complex(q.w, q.x)
+        v = complex(q.y, q.z)
+        out[row, col] = z
+        out[row, col + 1] = v
+        out[row + 1, col] = -v.conjugate()
+        out[row + 1, col + 1] = z.conjugate()
+    return out
+
+
+def test_chi_keeps_the_bits_of_the_entrywise_fill(class_pool,
+                                                  signed_zero_inputs):
+    rng = np.random.default_rng(19)
+    matrices = [t.m for pool in class_pool.values() for t in pool]
+    matrices += [t.m for t in signed_zero_inputs]
+    matrices += [_random_matrix(rng) for _ in range(20)]
+    for bits in ((0.0, -0.0, 1.5, -2.0), (-0.0, -0.0, 0.0, -0.0), (1, 0, 0, 2)):
+        matrices.append(Mat2H(*(Quaternion(*bits[k:] + bits[:k])
+                                for k in range(4))))
+    for m in matrices:
+        got, want = m.chi(), _chi_by_entries(m)
+        assert got.shape == (4, 4) and got.dtype == complex
+        parts, ref = got.view(float).ravel(), want.view(float).ravel()
+        assert (parts == ref).all(), m
+        assert (np.signbit(parts) == np.signbit(ref)).all(), m
+
+
 def test_trace_is_similarity_invariant():
     # X = [[1, r], [0, 1]] diag(p, q) [[1, 0], [s, 1]] is a general invertible
     # matrix, and its factors' inverses are explicit.

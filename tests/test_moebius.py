@@ -9,7 +9,7 @@ import pytest
 from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
                      diagonalize_elliptic, is_elliptic, random_element,
                      right_spectrum_casewise, validate)
-from quatu11.errors import MembershipError
+from quatu11.errors import BallViolationError, MembershipError
 from quatu11.group import GroupElement
 from quatu11.moebius import apply, classify, delta, evidence
 
@@ -133,10 +133,53 @@ def test_apply_preserves_the_ball(generic_pool):
 
 
 def test_apply_rejects_boundary_points(example):
-    with pytest.raises(ValueError):
-        apply(example, Quaternion(1.0))
-    with pytest.raises(ValueError):
-        apply(example, Quaternion(0.8, 0.8, 0, 0))
+    # a NaN point is not inside the ball either
+    for z in (Quaternion(1.0), Quaternion(0.8, 0.8, 0, 0),
+              Quaternion(math.nan), Quaternion(0.1, 0.0, math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            apply(example, z)
+
+
+def test_apply_rejects_a_nan_image():
+    # Built past validate: membership would reject the NaN entry.
+    bad = GroupElement(Mat2H(Quaternion(math.nan), QI, QI, Quaternion(1.0)),
+                       0.0)
+    with pytest.raises(BallViolationError):
+        apply(bad, Quaternion(0.2, -0.1, 0.0, 0.3))
+
+
+def _apply_by_quaternions(t, z):
+    """The ball action written with Quaternion operations: the bit
+    reference of apply inside the ball and away from poles."""
+    m = t.m
+    return (m.a * z + m.b) * (m.c * z + m.d).inverse()
+
+
+def _same_bits(got, want):
+    return all(g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+               for g, w in zip(got, want, strict=True))
+
+
+def _ball_points(rng, count):
+    points = [Quaternion(0.0, -0.0, 0.0, -0.0), Quaternion(-0.0, 0.0, -0.0),
+              Quaternion(0.5, -0.0, 0.0, -0.0), Quaternion(-0.0, 0.3, -0.0, 0.0)]
+    for _ in range(count):
+        v = rng.normal(size=4)
+        v *= rng.uniform(0.0, 0.999) / np.linalg.norm(v)
+        points.append(Quaternion(*v.tolist()))
+    return points
+
+
+def test_apply_keeps_the_bits_of_the_quaternion_route(class_pool, example,
+                                                      signed_zero_inputs):
+    rng = np.random.default_rng(29)
+    elements = [t for pool in class_pool.values() for t in pool]
+    elements += signed_zero_inputs + [example, ROTOR,
+                                      validate(Mat2H.identity())]
+    for t in elements:
+        for z in _ball_points(rng, 6):
+            assert _same_bits(apply(t, z).as_list(),
+                              _apply_by_quaternions(t, z).as_list()), (t, z)
 
 
 def test_apply_composes_like_the_group(example, generic_pool):

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, RightSpectrum,
-                     SpectralSphere, classify, inverse_u11, left_eigenvalues,
-                     random_element, right_spectrum, right_spectrum_casewise,
-                     right_spectrum_oracle, validate, verify_s_point)
+from quatu11 import (DiagonalizationCase, Mat2H, MoebiusClass, QI, QJ,
+                     Quaternion, RightSpectrum, SpectralSphere, classify,
+                     inverse_u11, left_eigenvalues, random_element,
+                     right_spectrum, right_spectrum_casewise,
+                     right_spectrum_oracle, stratum, validate, verify_s_point)
 from quatu11 import spectra
 from quatu11.errors import (NegativeRadicandError, NoRootFoundError,
                             NotApplicableError, QuatU11Error)
@@ -118,6 +119,64 @@ def test_unified_casewise_and_oracle_agree(class_pool, generic_pool):
         oracle = right_spectrum_oracle(t.m)
         assert unified.max_deviation(casewise) <= 1e-7
         assert unified.max_deviation(oracle) <= 1e-7
+
+
+def _casewise_case3_by_quaternions(t):
+    """right_spectrum_casewise on a Case-3 element with the real part of
+    conj(c)^-1 b conj(d) + d formed by Quaternion operations: the bit
+    reference."""
+    m = t.m
+    trace_half = (m.c.conjugate().inverse() * m.b * m.d.conjugate() + m.d).w
+    cls = classify(t)
+    if cls is MoebiusClass.COMPOUND_PARABOLIC:
+        return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
+    dlt = spectra.delta(m)
+    if cls is MoebiusClass.COMPOUND_ELLIPTIC:
+        root = math.sqrt(-dlt)
+        return RightSpectrum.from_pairs(
+            [(0.5 * (trace_half + root), 1.0), (0.5 * (trace_half - root), 1.0)])
+    return RightSpectrum.from_pairs(spectra._sphere_pairs(trace_half, dlt))
+
+
+def _same_bits(got, want):
+    return all(g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+               for g, w in zip(got, want, strict=True))
+
+
+def _sphere_parts(spectrum):
+    return [v for s in spectrum.spheres for v in (s.re, s.modulus)]
+
+
+def _bit_pool(class_pool, signed_zero_inputs, example):
+    pool = [t for elements in class_pool.values() for t in elements]
+    pool += [random_element([47, k], name) for k in range(15)
+             for name in ("CompoundElliptic", "CompoundParabolic",
+                          "CompoundLoxodromic")]
+    pool += [validate(-1.0 * t.m) for t in pool]
+    return pool + signed_zero_inputs + [example]
+
+
+def test_casewise_keeps_the_bits_of_the_quaternion_route(
+        class_pool, signed_zero_inputs, example):
+    seen = Counter()
+    for t in _bit_pool(class_pool, signed_zero_inputs, example):
+        if stratum(t)[0] is not DiagonalizationCase.CASE3:
+            continue
+        seen[classify(t)] += 1
+        assert _same_bits(_sphere_parts(right_spectrum_casewise(t)),
+                          _sphere_parts(_casewise_case3_by_quaternions(t))), t
+    assert min(seen[cls] for cls in (MoebiusClass.COMPOUND_ELLIPTIC,
+                                     MoebiusClass.COMPOUND_PARABOLIC,
+                                     MoebiusClass.COMPOUND_LOXODROMIC)) >= 20
+
+
+def test_oracle_reads_the_eigenvalues_with_the_bits_of_float(
+        class_pool, signed_zero_inputs, example):
+    for t in _bit_pool(class_pool, signed_zero_inputs, example):
+        eigenvalues = np.linalg.eigvals(t.m.chi())
+        got = [v for e in eigenvalues.tolist() for v in (e.real, abs(e))]
+        want = [v for e in eigenvalues for v in (float(e.real), float(abs(e)))]
+        assert _same_bits(got, want), t
 
 
 def test_verify_s_point_accepts_and_rejects(example):
