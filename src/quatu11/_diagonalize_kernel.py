@@ -19,7 +19,7 @@ from .errors import CaseMismatchError, ClaimViolationError
 from .group import (GroupElement, _j_adjoint_parts, membership_residual,
                     validate)
 from .mat2h import Mat2H, _from_parts, _matmul, _matrix
-from .moebius import DiagonalizationCase, delta
+from .moebius import DiagonalizationCase, _derived
 from .quaternion import Quaternion, _conj, _new, _qmul, solve_similarity
 
 # -- arithmetic on (w, x, y, z) part tuples ---------------------------------
@@ -134,7 +134,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     a, b, c, dq = _parts(m.a), _parts(m.b), _parts(m.c), _parts(m.d)
     # b - conj(c); x - (-y) is x + y
     bc = _add(b, (-c[0], c[1], c[2], c[3]))
-    dlt = delta(m)
+    gap, dlt = _derived(t)[:2]  # gap is _norm_sq(bc) bit for bit
 
     a0, d0 = a[0], dq[0]
     split = math.sqrt(-dlt)
@@ -150,7 +150,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
         return _sub(_sub(_scaled(cc, 2.0 * s0), e), f)
 
     p, pp = momentum(sphere.w), momentum(sphere_p.w)
-    nbc = _norm(bc)
+    nbc = math.sqrt(gap)
     claim = max(abs(_norm(p) - nbc), abs(_norm(pp) - nbc))
 
     if a0 > d0:

@@ -89,22 +89,22 @@ def _residual(p: tuple) -> float:
 
 class GroupElement(Record):
     """A membership-checked matrix together with its residual; the caches
-    _powers, _conjugate and _stratum are filled by invariants, conjugate
-    and moebius.stratum."""
+    _powers, _conjugate and _derived (|b - conj(c)|^2, delta, |b|, |c| and
+    the stratum) are filled by invariants, conjugate and moebius."""
 
     __slots__ = ("m", "membership_residual", "_powers", "_conjugate",
-                 "_stratum")
+                 "_derived")
 
     def __init__(self, m: Mat2H, membership_residual: float):
         _set_m(self, m)
         _set_membership_residual(self, membership_residual)
         _set_powers(self, None)
         _set_conjugate(self, None)
-        _set_stratum(self, None)
+        _set_derived(self, None)
 
 
 (_set_m, _set_membership_residual, _set_powers, _set_conjugate,
- _set_stratum) = GroupElement._slot_setters()
+ _set_derived) = GroupElement._slot_setters()
 
 
 def validate(m: Mat2H, tol: float = MEMBERSHIP_TOL) -> GroupElement:

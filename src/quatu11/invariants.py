@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .errors import MembershipError, NotApplicableError
+from .errors import NotApplicableError
 from .group import GroupElement, _set_powers, conjugate
 from .mat2h import _matmul, _matrix
-from .moebius import DiagonalizationCase, delta, stratum
+from .moebius import DiagonalizationCase, _derived, _gap_delta, delta
 from .quaternion import Record
 
 __all__ = [
@@ -43,23 +43,13 @@ def delta_legacy(t: GroupElement) -> float:
     Defined only where `stratum` finds b != conj(c) != 0 (Case 3); agrees
     with delta there.
     """
-    try:
-        case = stratum(t)[0]
-    except MembershipError:  # exactly one of b, c is zero
-        case = None
-    if case is not DiagonalizationCase.CASE3:
+    pair = _derived(t)[4]  # None if exactly one of b, c is zero
+    if pair is None or pair[0] is not DiagonalizationCase.CASE3:
         raise NotApplicableError("legacy delta needs b != conj(c) != 0")
     m = t.m
     lead = m.c.conjugate().inverse() * m.b
     inner = lead * m.d.conjugate() + m.d
     return inner.imag().norm_sq() - (lead - 1.0).norm_sq()
-
-
-def _tr_delta(p: tuple) -> tuple:
-    """Mat2H.tr and delta of a matrix given as the 16-tuple of its parts."""
-    w, x, y, z = p[4] - p[8], p[5] + p[9], p[6] + p[10], p[7] + p[11]
-    return (2.0 * (p[0] + p[12]),
-            (w * w + x * x + y * y + z * z) - (p[0] - p[12]) ** 2)
 
 
 def _power_values(t: GroupElement) -> tuple:
@@ -73,9 +63,10 @@ def _power_values(t: GroupElement) -> tuple:
         p2 = _matmul(p, p)
         p3 = _matmul(p2, p)
         p4 = _matmul(p3, p)
-        (tr2, d2), (tr3, d3), (tr4, _d4), (tr6, d6) = map(
-            _tr_delta, (p2, p3, p4, _matmul(p4, p2)))
-        values = (m.tr(), tr2, tr3, tr4, tr6, delta(m), d2, d3, d6)
+        (tr2, d2), (tr3, d3), (tr4, _d4), (tr6, d6) = [
+            (2.0 * (q[0] + q[12]), _gap_delta(q)[1])
+            for q in (p2, p3, p4, _matmul(p4, p2))]
+        values = (m.tr(), tr2, tr3, tr4, tr6, _derived(t)[1], d2, d3, d6)
         _set_powers(t, values)
     return values
 

@@ -2,8 +2,8 @@
 
 A group element T = [[a, b], [c, d]] acts by g(z) = (a z + b)(c z + d)^-1,
 preserving the open unit ball; the kernel of the action is {I, -I}.
-`stratum` is the one place that decides the conjugation class, and with it
-the diagonalization case (the row below), from the off-diagonal pattern
+`_derive` decides, once per element, the conjugation class and with it the
+diagonalization case (the row below), from the off-diagonal pattern
 together with d0 = Re d and delta(T) = |b - conj(c)|^2 - (Re a - Re d)^2:
 
     b == conj(c) == 0:  simple elliptic if a0 == d0, else compound elliptic
@@ -19,7 +19,7 @@ import math
 from enum import Enum
 
 from .errors import BallViolationError, MembershipError, PoleError
-from .group import GroupElement, _set_stratum
+from .group import GroupElement, _set_derived
 from .mat2h import Mat2H, _matrix
 from .quaternion import Quaternion, _new, _qmul
 
@@ -74,51 +74,74 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
     return image
 
 
-def _b_minus_conj_c_sq(m: Mat2H) -> float:
-    """(m.b - m.c.conjugate()).norm_sq() bit for bit; x - (-y) is x + y."""
-    b, c = m.b, m.c
-    w, x, y, z = b.w - c.w, b.x + c.x, b.y + c.y, b.z + c.z
-    return w * w + x * x + y * y + z * z
+def _entry_eps(p: tuple) -> float:
+    """EPS_CLASS * (1 + ||M||_F) on the 16 parts p, the norm summed as
+    Mat2H.frobenius sums it: inf or NaN exactly when the norm is."""
+    (aw, ax, ay, az, bw, bx, by, bz,
+     cw, cx, cy, cz, dw, dx, dy, dz) = p
+    return EPS_CLASS * (1.0 + math.sqrt(
+        (aw * aw + ax * ax + ay * ay + az * az)
+        + (bw * bw + bx * bx + by * by + bz * bz)
+        + (cw * cw + cx * cx + cy * cy + cz * cz)
+        + (dw * dw + dx * dx + dy * dy + dz * dz)))
+
+
+def _gap_delta(p: tuple) -> tuple[float, float]:
+    """|b - conj(c)|^2 and delta for the 16 parts p, with the bits of
+    (m.b - m.c.conjugate()).norm_sq(); x - (-y) is x + y."""
+    w, x, y, z = p[4] - p[8], p[5] + p[9], p[6] + p[10], p[7] + p[11]
+    gap = w * w + x * x + y * y + z * z
+    return gap, gap - (p[0] - p[12]) ** 2
 
 
 def delta(m: Mat2H) -> float:
-    return _b_minus_conj_c_sq(m) - (m.a.w - m.d.w) ** 2
+    return _gap_delta(_matrix(m))[1]
+
+
+def _derive(p: tuple) -> tuple:
+    """(|b - conj(c)|^2, delta, |b|, |c|, (case, class)) of the matrix with
+    the 16 parts p, the pair None when exactly one of b, c is zero."""
+    gap, dlt = _gap_delta(p)
+    eps = _entry_eps(p)
+    nb = math.sqrt(p[4] * p[4] + p[5] * p[5] + p[6] * p[6] + p[7] * p[7])
+    nc = math.sqrt(p[8] * p[8] + p[9] * p[9] + p[10] * p[10] + p[11] * p[11])
+    if nb <= eps and nc <= eps:
+        pair = (DiagonalizationCase.CASE1,
+                MoebiusClass.SIMPLE_ELLIPTIC if abs(p[0] - p[12]) <= EPS_CLASS
+                else MoebiusClass.COMPOUND_ELLIPTIC)
+    elif nb <= eps or nc <= eps:
+        pair = None
+    elif math.sqrt(gap) <= eps:
+        d2 = p[12] * p[12] - 1.0
+        pair = (DiagonalizationCase.CASE2,
+                MoebiusClass.SIMPLE_PARABOLIC if abs(d2) <= EPS_CLASS
+                else MoebiusClass.SIMPLE_ELLIPTIC if d2 < 0.0
+                else MoebiusClass.SIMPLE_LOXODROMIC)
+    else:
+        pair = (DiagonalizationCase.CASE3,
+                MoebiusClass.COMPOUND_PARABOLIC if abs(dlt) <= EPS_CLASS
+                else MoebiusClass.COMPOUND_ELLIPTIC if dlt < 0.0
+                else MoebiusClass.COMPOUND_LOXODROMIC)
+    return gap, dlt, nb, nc, pair
+
+
+def _derived(t: GroupElement) -> tuple:
+    """_derive of T, formed on first use and kept on t for every reader."""
+    record = t._derived
+    if record is None:
+        record = _derive(_matrix(t.m))
+        _set_derived(t, record)
+    return record
 
 
 def stratum(t: GroupElement) -> tuple[DiagonalizationCase, MoebiusClass]:
-    """The diagonalization case (row of the table above) and class of T,
-    kept on t (EPS_CLASS is a constant); a MembershipError is not kept."""
-    pair = t._stratum
+    """The diagonalization case (row of the table above) and class of T;
+    MembershipError, on every call, if exactly one of b, c is zero."""
+    pair = _derived(t)[4]
     if pair is None:
-        pair = _decide(t.m)
-        _set_stratum(t, pair)
-    return pair
-
-
-def _decide(m: Mat2H) -> tuple[DiagonalizationCase, MoebiusClass]:
-    eps = EPS_CLASS * (1.0 + m.frobenius())
-    b_zero = m.b.norm() <= eps
-    c_zero = m.c.norm() <= eps
-    if b_zero and c_zero:
-        if abs(m.a.w - m.d.w) <= EPS_CLASS:
-            return DiagonalizationCase.CASE1, MoebiusClass.SIMPLE_ELLIPTIC
-        return DiagonalizationCase.CASE1, MoebiusClass.COMPOUND_ELLIPTIC
-    if b_zero or c_zero:
         raise MembershipError(
             "exactly one off-diagonal entry is zero; |b| == |c| fails")
-    if math.sqrt(_b_minus_conj_c_sq(m)) <= eps:
-        gap = m.d.w * m.d.w - 1.0
-        if abs(gap) <= EPS_CLASS:
-            return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_PARABOLIC
-        if gap < 0.0:
-            return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_ELLIPTIC
-        return DiagonalizationCase.CASE2, MoebiusClass.SIMPLE_LOXODROMIC
-    dlt = delta(m)
-    if abs(dlt) <= EPS_CLASS:
-        return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_PARABOLIC
-    if dlt < 0.0:
-        return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_ELLIPTIC
-    return DiagonalizationCase.CASE3, MoebiusClass.COMPOUND_LOXODROMIC
+    return pair
 
 
 def classify(t: GroupElement) -> MoebiusClass:
@@ -131,12 +154,7 @@ def is_elliptic(t: GroupElement) -> bool:
 
 def evidence(t: GroupElement) -> dict:
     """The quantities the classification actually read."""
-    m = t.m
-    return {
-        "a0": m.a.w,
-        "d0": m.d.w,
-        "b_minus_conj_c_norm": math.sqrt(_b_minus_conj_c_sq(m)),
-        "b_norm": m.b.norm(),
-        "c_norm": m.c.norm(),
-        "delta": delta(m),
-    }
+    gap, dlt, nb, nc, _pair = _derived(t)
+    return {"a0": t.m.a.w, "d0": t.m.d.w,
+            "b_minus_conj_c_norm": math.sqrt(gap), "b_norm": nb,
+            "c_norm": nc, "delta": dlt}

@@ -156,14 +156,6 @@ class Quaternion(Record):
             return self * (1.0 / other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "Quaternion":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- involution and size ---------------------------------------------
 
     def conjugate(self) -> "Quaternion":

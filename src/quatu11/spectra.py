@@ -23,8 +23,8 @@ from .errors import (NegativeRadicandError, NoRootFoundError,
                      NotApplicableError)
 from .group import GroupElement, _unit_vector
 from .mat2h import Mat2H, _matrix
-from .moebius import (EPS_CLASS, DiagonalizationCase, MoebiusClass, delta,
-                      stratum)
+from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
+                      _entry_eps, stratum)
 from .quaternion import Quaternion, Record, _qmul
 
 SPECTRUM_TOL = 1e-7
@@ -154,8 +154,8 @@ def _sphere_pairs(trace_half: float, dlt: float):
 
 def right_spectrum(t: GroupElement) -> RightSpectrum:
     """Spectral spheres from the unified trace/delta formula."""
-    m = t.m
-    return RightSpectrum.from_pairs(_sphere_pairs(m.a.w + m.d.w, delta(m)))
+    return RightSpectrum.from_pairs(
+        _sphere_pairs(t.m.a.w + t.m.d.w, _derived(t)[1]))
 
 
 def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
@@ -185,7 +185,7 @@ def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
     trace_half = (l0 * d.w + l1 * d.x + l2 * d.y + l3 * d.z) + d.w
     if cls is MoebiusClass.COMPOUND_PARABOLIC:
         return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
-    dlt = delta(m)
+    dlt = _derived(t)[1]
     if cls is MoebiusClass.COMPOUND_ELLIPTIC:
         root = math.sqrt(-dlt)
         return RightSpectrum.from_pairs(
@@ -458,16 +458,14 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     the bits of that route while Quaternions are built only for the emitted
     points and a sphere family.
     """
+    p = _matrix(m)
     (aw, ax, ay, az, bw, bx, by, bz,
-     cw, cx, cy, cz, dw, dx, dy, dz) = _matrix(m)
-    nb = bw * bw + bx * bx + by * by + bz * bz
-    frobenius = math.sqrt((aw * aw + ax * ax + ay * ay + az * az) + nb
-                          + (cw * cw + cx * cx + cy * cy + cz * cz)
-                          + (dw * dw + dx * dx + dy * dy + dz * dz))
-    if not math.isfinite(frobenius):
+     cw, cx, cy, cz, dw, dx, dy, dz) = p
+    eps = _entry_eps(p)
+    if not math.isfinite(eps):  # inf or NaN as the norm is
         raise NotApplicableError(
-            f"left eigenvalues need a finite matrix norm, got {frobenius}")
-    eps = EPS_CLASS * (1.0 + frobenius)
+            f"left eigenvalues need a finite matrix norm, got {eps}")
+    nb = bw * bw + bx * bx + by * by + bz * bz
     ew, ex, ey, ez = aw - dw, ax - dx, ay - dy, az - dz
     if math.sqrt(nb) <= eps:
         points = [m.a]

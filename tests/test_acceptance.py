@@ -164,7 +164,8 @@ def test_criterion_5_power_law(acceptance):
         for n, m_n in ((2, m2), (3, m2 @ t.m)):
             power = validate(m_n, tol=1e-7)
             got = right_spectrum(power)
-            reps = [s.representative() ** n for s in base.spheres]
+            reps = [math.prod([s.representative()] * n)
+                    for s in base.spheres]
             want = RightSpectrum.from_pairs([(r.w, r.norm()) for r in reps],
                                             collapse_tol=1e-9)
             worst = max(worst, got.max_deviation(want))

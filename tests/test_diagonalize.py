@@ -24,7 +24,7 @@ from quatu11.errors import (ClaimViolationError, MembershipError,
                             NotApplicableError, NotEllipticError,
                             QuatU11Error)
 from quatu11.group import GroupElement, _j_adjoint, membership_residual
-from quatu11.moebius import EPS_CLASS, delta
+from quatu11.moebius import EPS_CLASS, delta, evidence
 from quatu11.quaternion import solve_similarity
 
 R2 = math.sqrt(2)
@@ -144,41 +144,48 @@ def test_one_stratum_decision_per_diagonalization(class_pool, monkeypatch):
 
 
 def test_one_stratum_decision_per_element(class_pool, monkeypatch):
-    # report, classify, right_spectrum_casewise and diagonalize_elliptic
-    # all read the stratum; it is decided once and kept on the element.
-    decisions = []
+    # report, classify, right_spectrum, right_spectrum_casewise,
+    # diagonalize_elliptic and evidence all read |b - conj(c)|^2, delta and
+    # the stratum; they are derived once and kept on the element.
+    derivations = []
 
-    def counting(m, _decide=quatu11.moebius._decide):
-        decisions.append(m)
-        return _decide(m)
+    def counting(p, _derive=quatu11.moebius._derive):
+        derivations.append(p)
+        return _derive(p)
 
-    monkeypatch.setattr(quatu11.moebius, "_decide", counting)
+    monkeypatch.setattr(quatu11.moebius, "_derive", counting)
     matrices = [t.m for name in ("SimpleElliptic", "CompoundElliptic")
                 for t in class_pool[name]]
     matrices.append(Mat2H.diag(QI, QJ))
     cases = set()
     for m in matrices:
-        decisions.clear()
+        derivations.clear()
         t = validate(m)
         report(t)
         cls = classify(t)
+        right_spectrum(t)
         right_spectrum_casewise(t)
         cases.add(diagonalize_elliptic(t).case_used)
-        assert len(decisions) == 1
+        evidence(t)
+        assert len(derivations) == 1
         fresh = validate(m)
         assert stratum(fresh) == stratum(t) and stratum(t)[1] is cls
-        assert len(decisions) == 2
+        assert len(derivations) == 2
     assert cases == set(DiagonalizationCase)
 
+    # Exactly one of b, c zero: every stratum reader raises, on every call,
+    # from the one record; report, right_spectrum and evidence still return.
     bad = GroupElement(Mat2H(Quaternion(1.0), QI, Quaternion(),
                              Quaternion(1.0)), 0.0)
-    decisions.clear()
+    derivations.clear()
+    assert report(bad).delta_legacy is None
     for call in (classify, right_spectrum_casewise, diagonalize_elliptic,
                  stratum):
         with pytest.raises(MembershipError):
             call(bad)
-    assert len(decisions) == 4 and bad._stratum is None
-    assert report(bad).delta_legacy is None and len(decisions) == 5
+    right_spectrum(bad)
+    evidence(bad)
+    assert len(derivations) == 1 and bad._derived[4] is None
 
 
 def test_result_serializes(example):
@@ -451,8 +458,8 @@ def test_diagonalize_builds_no_quaternion_arithmetic(class_pool, example,
                         similarity)
     for cls, names in ((Quaternion, ("__add__", "__radd__", "__sub__",
                                      "__rsub__", "__mul__", "__rmul__",
-                                     "__neg__", "__pow__", "inverse",
-                                     "conjugate", "normalized", "imag")),
+                                     "__neg__", "inverse", "conjugate",
+                                     "normalized", "imag")),
                        (Mat2H, ("__add__", "__sub__", "__matmul__",
                                 "__rmul__", "adjoint"))):
         for name in names:

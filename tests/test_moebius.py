@@ -11,7 +11,8 @@ from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
                      right_spectrum_casewise, validate)
 from quatu11.errors import BallViolationError, MembershipError
 from quatu11.group import GroupElement
-from quatu11.moebius import apply, classify, delta, evidence
+from quatu11.mat2h import _matrix
+from quatu11.moebius import _derive, apply, classify, delta, evidence
 
 R2 = math.sqrt(2)
 
@@ -100,6 +101,12 @@ def test_delta_matches_the_quaternion_route_bit_for_bit(class_pool):
     count = 0
     for m in _delta_samples(class_pool):
         assert delta(m).hex() == _delta_by_quaternions(m).hex(), m
+        # the stratum record: |b - conj(c)|^2, delta, |b|, |c|
+        got = _derive(_matrix(m))[:4]
+        want = ((m.b - m.c.conjugate()).norm_sq(), _delta_by_quaternions(m),
+                m.b.norm(), m.c.norm())
+        assert all(g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+                   for g, w in zip(got, want, strict=True)), m
         count += 1
     assert count == 36 + 130 + 81
 

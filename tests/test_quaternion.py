@@ -86,12 +86,11 @@ def test_inverse_is_two_sided():
 
 
 def test_integer_powers():
+    # Products and inverses are spelled out; there is no power operator.
     q = Quaternion(0.5, 0.5, 0.5, 0.5)
-    assert q ** 0 == ONE
-    assert q ** 1 == q
-    assert ((q ** 3) - q * q * q).norm() < 1e-15
-    with pytest.raises(TypeError):
-        q ** -2  # inverses are explicit, not spelled as negative powers
+    for n in (0, 1, 3, -2):
+        with pytest.raises(TypeError):
+            q ** n
 
 
 def test_similarity_is_real_part_and_modulus():

@@ -17,6 +17,7 @@ from quatu11 import (DiagonalizationCase, Mat2H, MoebiusClass, QI, QJ,
 from quatu11 import spectra
 from quatu11.errors import (NegativeRadicandError, NoRootFoundError,
                             NotApplicableError, QuatU11Error)
+from quatu11.moebius import EPS_CLASS, delta
 from quatu11.spectra import _clamped_sqrt
 
 R2 = math.sqrt(2)
@@ -130,7 +131,7 @@ def _casewise_case3_by_quaternions(t):
     cls = classify(t)
     if cls is MoebiusClass.COMPOUND_PARABOLIC:
         return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
-    dlt = spectra.delta(m)
+    dlt = delta(m)
     if cls is MoebiusClass.COMPOUND_ELLIPTIC:
         root = math.sqrt(-dlt)
         return RightSpectrum.from_pairs(
@@ -335,7 +336,7 @@ def _left_eigenvalues_by_quaternions(m, branches):
     frobenius = m.frobenius()
     if not math.isfinite(frobenius):
         raise NotApplicableError("not finite")
-    eps = spectra.EPS_CLASS * (1.0 + frobenius)
+    eps = EPS_CLASS * (1.0 + frobenius)
     if m.b.norm() <= eps:
         branches["b ~ 0"] += 1
         points = [m.a]
@@ -491,7 +492,8 @@ def test_left_eigenvalues_reject_an_overflowing_norm():
     # with a alone
     m = Mat2H(Quaternion(1e200), Quaternion(3e199, 1.0),
               Quaternion(0.0, 2e199), Quaternion(-1e200, 0.0, 0.0, 5.0))
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError,
+                       match="need a finite matrix norm, got inf$"):
         left_eigenvalues(m)
 
 
@@ -499,7 +501,8 @@ def test_left_eigenvalues_reject_a_nan_entry():
     # this used to give two all-NaN points
     m = Mat2H(Quaternion(1.0), Quaternion(0.0, 1.0), Quaternion(math.nan),
               Quaternion(-1.0))
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError,
+                       match="need a finite matrix norm, got nan$"):
         left_eigenvalues(m)
 
 
