@@ -18,7 +18,9 @@ class MembershipDriftError(QuatU11Error):
 
 
 class HintExhaustedError(QuatU11Error):
-    """Rejection sampling failed to produce the requested class."""
+    """Rejection sampling ran out of attempts: with a class hint, no member
+    of that class was found; without one, no candidate was in the group
+    within the membership tolerance."""
 
 
 class NotApplicableError(QuatU11Error):

@@ -156,20 +156,26 @@ def conjugate(t: GroupElement, g: GroupElement,
 # Mat2H operation it stands for: the bits of that route (tests/test_group.py).
 
 
-def _unit_vector(rng, k: int) -> tuple:
-    """A uniform point on the unit sphere in R^k, by rejecting tiny draws."""
-    v = rng.standard_normal(k)
-    n = math.sqrt(float(v.dot(v)))
-    while n < 1e-6:
-        v = rng.standard_normal(k)
-        n = math.sqrt(float(v.dot(v)))
-    return tuple([p / n for p in v.tolist()])
+def _unit_vectors(rng, count: int, dim: int = 4) -> list:
+    """count uniform points on the unit sphere in R^dim from blocks of
+    normals; a draw of norm < 1e-6 gives way to the next, so the normals,
+    their order and the end state are those of count single draws.  Each
+    squared norm is numpy's dot of a row with itself, as for one draw."""
+    units = []
+    while len(units) < count:
+        rows = rng.standard_normal((count - len(units), dim))
+        for row, v in zip(rows.tolist(), rows):
+            n = math.sqrt(v.dot(v))
+            if not n < 1e-6:
+                units.append(tuple([p / n for p in row]))
+    return units
 
 
 def _unit_with_bounded_angle(rng, max_re: float) -> tuple:
-    u = _unit_vector(rng, 4)
+    # one draw at a time: the number of rejections is not known in advance
+    u, = _unit_vectors(rng, 1)
     while abs(u[0]) > max_re:
-        u = _unit_vector(rng, 4)
+        u, = _unit_vectors(rng, 1)
     return u
 
 
@@ -195,12 +201,12 @@ def _sandwich(p: tuple, q: tuple, m: tuple, r: tuple, s: tuple) -> tuple:
 
 
 def _generic(rng, floor: float = 0.0) -> tuple:
-    p, q, r, s = (_unit_vector(rng, 4) for _ in range(4))
+    p, q, r, s = _unit_vectors(rng, 4)
     return _sandwich(p, q, _boost(_boost_parameter(rng, floor)), r, s)
 
 
 def _diag_unit_conjugate(rng, base: tuple) -> tuple:
-    p, q = _unit_vector(rng, 4), _unit_vector(rng, 4)
+    p, q = _unit_vectors(rng, 2)
     return _sandwich(p, q, base, _conj(p), _conj(q))
 
 
@@ -219,7 +225,7 @@ def _candidate(rng, hint: str | None) -> tuple:
         return _generic(rng)
     if hint == "SimpleElliptic":
         u = _unit_with_bounded_angle(rng, 0.9)
-        g = _unit_vector(rng, 4)
+        g, = _unit_vectors(rng, 1)
         base = u + (0.0,) * 8 + _qmul(_qmul(g, u), _conj(g))
     elif hint == "CompoundElliptic":
         u = _unit_with_bounded_angle(rng, 0.9)
@@ -236,7 +242,7 @@ def _candidate(rng, hint: str | None) -> tuple:
         # sinh^2 |u1 u4 - conj(u2 u3)|^2 - cosh^2 (Re u1 u3 - Re u2 u4)^2,
         # so tanh t matching the ratio of the two factors kills it exactly.
         while True:
-            u1, u2, u3, u4 = (_unit_vector(rng, 4) for _ in range(4))
+            u1, u2, u3, u4 = _unit_vectors(rng, 4)
             w, x, y, z = [p - q for p, q in
                           zip(_qmul(u1, u4), _conj(_qmul(u2, u3)))]
             kappa1 = math.sqrt(w * w + x * x + y * y + z * z)
@@ -276,12 +282,17 @@ def random_element(seed, class_hint: str | None = None,
     measure-zero stratum.
     """
     import numpy as np
-    from .moebius import MoebiusClass, classify  # late import, avoids a cycle
 
     if class_hint is not None:
+        # late import, avoids a cycle; only a hinted draw classifies
+        from .moebius import MoebiusClass, classify
         valid = {cls.value for cls in MoebiusClass}
         if class_hint not in valid:
             raise ValueError(f"unknown class hint {class_hint!r}")
+    words = [seed] if type(seed) is int else seed
+    if type(words) in (list, tuple) and all(
+            type(w) is int and 0 <= w < 2**32 for w in words):
+        seed = np.array(words, dtype=np.uint32)  # SeedSequence's own words
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         parts = _candidate(rng, class_hint)
@@ -291,5 +302,6 @@ def random_element(seed, class_hint: str | None = None,
         element = GroupElement(_from_parts(parts), residual)
         if class_hint is None or classify(element).value == class_hint:
             return element
-    raise HintExhaustedError(
-        f"no {class_hint} element found in {max_attempts} attempts")
+    what = (f"group element within tol {tol:.3e}" if class_hint is None
+            else f"{class_hint} element")
+    raise HintExhaustedError(f"no {what} found in {max_attempts} attempts")

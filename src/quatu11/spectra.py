@@ -21,7 +21,7 @@ import math
 
 from .errors import (NegativeRadicandError, NoRootFoundError,
                      NotApplicableError)
-from .group import GroupElement, _unit_vector
+from .group import GroupElement, _unit_vectors
 from .mat2h import Mat2H, _matrix
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
                       _entry_eps, stratum)
@@ -49,8 +49,8 @@ __all__ = [
 ]
 
 
-def _unit_imaginary(rng) -> Quaternion:
-    return Quaternion(0.0, *_unit_vector(rng, 3))
+def _unit_imaginaries(rng, count: int) -> list[Quaternion]:
+    return [Quaternion(0.0, *u) for u in _unit_vectors(rng, count, 3)]
 
 
 class SpectralSphere(Record):
@@ -70,8 +70,8 @@ class SpectralSphere(Record):
         import numpy as np
         rng = np.random.default_rng(seed)
         imag = math.sqrt(max(self.modulus ** 2 - self.re ** 2, 0.0))
-        return [Quaternion(self.re, 0, 0, 0) + _unit_imaginary(rng) * imag
-                for _ in range(count)]
+        return [Quaternion(self.re, 0, 0, 0) + u * imag
+                for u in _unit_imaginaries(rng, count)]
 
     def to_json(self) -> dict:
         return {"re": self.re, "modulus": self.modulus}
@@ -259,8 +259,8 @@ class SphereFamily(Record):
     def sample(self, count: int, seed=0) -> list[Quaternion]:
         import numpy as np
         rng = np.random.default_rng(seed)
-        return [self.alpha + self.beta * _unit_imaginary(rng)
-                for _ in range(count)]
+        return [self.alpha + self.beta * u
+                for u in _unit_imaginaries(rng, count)]
 
     def to_json(self) -> dict:
         return {

@@ -16,10 +16,11 @@ from quatu11.errors import (HintExhaustedError, MembershipDriftError,
                             MembershipError)
 from quatu11.group import (MEMBERSHIP_TOL, GroupElement, _boost,
                            _boost_parameter, _candidate, _j_adjoint,
-                           _sandwich)
+                           _sandwich, _unit_vectors)
 from quatu11.mat2h import _from_parts, _matrix
 from quatu11.moebius import classify
 from quatu11.quaternion import _conj
+from quatu11.spectra import SpectralSphere, SphereFamily
 
 R2 = math.sqrt(2)
 
@@ -349,6 +350,96 @@ def test_sampler_keeps_the_bits_of_the_matmul_route(hint):
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
+# -- blocks of normals against one draw at a time --------------------------
+
+
+def _one_unit_vector(rng, dim: int) -> tuple:
+    """A unit vector drawn alone, rejecting tiny draws: the helper's rule
+    applied one vector at a time."""
+    v = rng.standard_normal(dim)
+    n = math.sqrt(float(v.dot(v)))
+    while n < 1e-6:
+        v = rng.standard_normal(dim)
+        n = math.sqrt(float(v.dot(v)))
+    return tuple(float(p) / n for p in v)
+
+
+class _ScriptedNormals:
+    """Serves standard_normal(size) from a fixed list and counts what it
+    read."""
+
+    def __init__(self, values):
+        self.values, self.read = values, 0
+
+    def standard_normal(self, size):
+        n = math.prod(np.atleast_1d(size).tolist())
+        assert self.read + n <= len(self.values)
+        self.read += n
+        return np.array(self.values[self.read - n:self.read]).reshape(size)
+
+
+@pytest.mark.parametrize("count, dim, tiny_rows", [
+    (4, 4, [0]), (4, 4, [2]), (4, 4, [3]), (4, 4, [0, 1, 5]),
+    (4, 4, [3, 4, 5]), (2, 4, [1, 2]), (1, 4, [0, 1]), (5, 3, [0, 4, 6])])
+def test_unit_vectors_pass_over_tiny_rows_as_single_draws(count, dim,
+                                                          tiny_rows):
+    # a row of norm < 1e-6 first, in the middle, last, and in the refill
+    normals = np.random.default_rng([89, count, dim]).standard_normal(
+        (count + len(tiny_rows) + 3) * dim).tolist()
+    for row in tiny_rows:
+        normals[row * dim:(row + 1) * dim] = [3e-7, -2e-7] + [1e-7] * (dim - 2)
+    block, single = _ScriptedNormals(normals), _ScriptedNormals(normals)
+    got = _unit_vectors(block, count, dim)
+    want = [_one_unit_vector(single, dim) for _ in range(count)]
+    assert repr(got) == repr(want)
+    assert block.read == single.read == (count + len(tiny_rows)) * dim
+
+
+def test_sample_keeps_the_bits_of_one_draw_at_a_time():
+    # a Generator passed as the seed is used as it is, so its state shows
+    # what sample() read
+    sphere = SpectralSphere(0.3, 1.7)
+    family = SphereFamily(Quaternion(1.0, -0.5, 0.25, 2.0),
+                          Quaternion(0.5, 1.5, -0.75, 0.125))
+    imag = math.sqrt(max(sphere.modulus ** 2 - sphere.re ** 2, 0.0))
+    for seed in range(20):
+        for shape, point in (
+                (sphere, lambda u: Quaternion(sphere.re, 0, 0, 0) + u * imag),
+                (family, lambda u: family.alpha + family.beta * u)):
+            rng = np.random.default_rng([83, seed])
+            twin = np.random.default_rng([83, seed])
+            got = shape.sample(1 + seed % 7, seed=rng)
+            want = [point(Quaternion(0.0, *_one_unit_vector(twin, 3)))
+                    for _ in range(1 + seed % 7)]
+            assert repr(got) == repr(want)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, [2**32], [5, 3],
+                                  (5, 3), [], np.int64(7)])
+def test_seed_reaches_numpy_as_the_same_state(seed, monkeypatch):
+    # in-range seeds are handed over as uint32 words, the rest as they are
+    states, default_rng = [], np.random.default_rng
+
+    def recording(arg):
+        rng = default_rng(arg)
+        states.append(rng.bit_generator.state)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    random_element(seed)
+    assert states == [default_rng(seed).bit_generator.state]
+
+
+@pytest.mark.parametrize("seed", [-1, [-1]])
+def test_bad_seed_raises_what_numpy_raises(seed):
+    with pytest.raises(Exception) as numpy_error:
+        np.random.default_rng(seed)
+    with pytest.raises(Exception) as ours:
+        random_element(seed)
+    assert ours.type is numpy_error.type
+
+
 unit_parts = st.floats(min_value=-1.0, max_value=1.0)
 
 
@@ -460,3 +551,15 @@ def test_unknown_hint_is_rejected():
 def test_hint_exhaustion_surfaces():
     with pytest.raises(HintExhaustedError):
         random_element(1, class_hint="CompoundLoxodromic", max_attempts=0)
+
+
+def test_hint_exhaustion_names_what_was_missing():
+    # without a hint, no candidate passed the membership tolerance
+    with pytest.raises(HintExhaustedError,
+                       match=r"^no group element within tol 0\.000e\+00 "
+                             r"found in 3 attempts$"):
+        random_element(1, None, tol=0.0, max_attempts=3)
+    with pytest.raises(HintExhaustedError,
+                       match=r"^no SimpleElliptic element found in 3 "
+                             r"attempts$"):
+        random_element(1, "SimpleElliptic", tol=0.0, max_attempts=3)
