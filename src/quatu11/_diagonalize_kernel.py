@@ -21,6 +21,7 @@ from .group import (GroupElement, _j_adjoint_parts, membership_residual,
 from .mat2h import Mat2H, _from_parts, _matmul, _matrix
 from .moebius import DiagonalizationCase, _derived
 from .quaternion import Quaternion, _conj, _new, _qmul, solve_similarity
+from .spectra import _RADICAND_FLOOR
 
 # -- arithmetic on (w, x, y, z) part tuples ---------------------------------
 # Each sums as the Quaternion or Mat2H operation it stands for.
@@ -119,7 +120,7 @@ def case2(t: GroupElement) -> DiagonalizationResult:
 
 def _unit_point(s0: float) -> Quaternion:
     radicand = 1.0 - s0 * s0
-    if radicand < -1e-9:
+    if radicand < _RADICAND_FLOOR:
         raise CaseMismatchError(f"spectrum point {s0:.17g} left the unit circle")
     if radicand <= 1e-12:
         # sqrt is non-Lipschitz at the degenerate point: 1e-15 of roundoff

@@ -63,9 +63,9 @@ def _power_values(t: GroupElement) -> tuple:
         p2 = _matmul(p, p)
         p3 = _matmul(p2, p)
         p4 = _matmul(p3, p)
-        (tr2, d2), (tr3, d3), (tr4, _d4), (tr6, d6) = [
-            (2.0 * (q[0] + q[12]), _gap_delta(q)[1])
-            for q in (p2, p3, p4, _matmul(p4, p2))]
+        p6 = _matmul(p4, p2)
+        tr2, tr3, tr4, tr6 = [2.0 * (q[0] + q[12]) for q in (p2, p3, p4, p6)]
+        d2, d3, d6 = [_gap_delta(q)[1] for q in (p2, p3, p6)]
         values = (m.tr(), tr2, tr3, tr4, tr6, _derived(t)[1], d2, d3, d6)
         _set_powers(t, values)
     return values

@@ -34,6 +34,11 @@ COLLAPSE_TOL = 1e-10
 DOUBLE_ROOT_TOL = 1e-13
 # A left-eigenvalue candidate must solve its quadratic to this residual.
 QUADRATIC_RESIDUAL_TOL = 1e-9
+# A radicand down to this is roundoff from cancellation and is clamped to
+# 0; one below it means the input was not a group element.  The text is
+# what error messages print, as "-1e-9" where a float would print "-1e-09".
+_RADICAND_FLOOR_TEXT = "-1e-9"
+_RADICAND_FLOOR = float(_RADICAND_FLOOR_TEXT)
 
 __all__ = [
     "SpectralSphere",
@@ -122,10 +127,9 @@ _set_re, _set_modulus = SpectralSphere._slot_setters()
 
 
 def _clamped_sqrt(radicand: float) -> float:
-    # Small negative radicands are roundoff from cancellation; anything
-    # decidedly negative means the input was not a group element.
-    if radicand < -1e-9:
-        raise NegativeRadicandError(f"radicand {radicand:.3e} below -1e-9")
+    if radicand < _RADICAND_FLOOR:
+        raise NegativeRadicandError(
+            f"radicand {radicand:.3e} below {_RADICAND_FLOOR_TEXT}")
     return math.sqrt(max(radicand, 0.0))
 
 

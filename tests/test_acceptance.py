@@ -19,26 +19,18 @@ from quatu11.errors import NotApplicableError
 from quatu11.invariants import SINGLE_ELEMENT_CHECKS, delta_legacy
 from quatu11.moebius import classify
 
-R2 = math.sqrt(2)
-
-CLASS_NAMES = [c.value for c in MoebiusClass]
-
-
-def _example():
-    a = Quaternion(2.0, 1.0, 0.0, 0.0)
-    b = Quaternion(-R2, R2, 0.0, 0.0)
-    d = Quaternion(-1.0, -2.0, 0.0, 0.0)
-    return validate(Mat2H(a, b, b, d))
+import probes
+from probes import R2
 
 
 def _six_class_pool(count, base_seed):
     """count elements cycling through all six classes, deterministically."""
-    return [random_element([base_seed, k], class_hint=CLASS_NAMES[k % 6])
+    return [random_element([base_seed, k], class_hint=probes.CLASS_NAMES[k % 6])
             for k in range(count)]
 
 
 def test_criterion_1_worked_example(acceptance):
-    t = _example()
+    t = probes.worked_example()
     checks = {}
     checks["member"] = t.membership_residual <= 1e-9
     checks["delta"] = abs(delta(t.m) - (-1.0)) <= 1e-12
@@ -176,7 +168,7 @@ def test_criterion_5_power_law(acceptance):
 
 def test_criterion_6_left_spectrum_goldens(acceptance):
     checks = {}
-    rotor = Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2))
+    rotor = probes.rotor().m
     fam = left_eigenvalues(rotor).families[0]
     samples = fam.sample(50, seed=600)
     checks["rotor_family"] = all(
@@ -263,7 +255,7 @@ def test_criterion_7_diagonalization_suite(acceptance):
 def test_criterion_8_coarse_invariance(acceptance):
     mismatches = 0
     for k in range(500):
-        t = random_element([800, k], class_hint=CLASS_NAMES[k % 6])
+        t = random_element([800, k], class_hint=probes.CLASS_NAMES[k % 6])
         g = random_element([800, k, 1])
         if classify(conjugate(t, g)).coarse != classify(t).coarse:
             mismatches += 1

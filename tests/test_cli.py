@@ -4,7 +4,6 @@ import ast
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -14,24 +13,23 @@ from unittest import mock
 import pytest
 
 import quatu11.cli
+from quatu11 import Mat2H, RightSpectrum, right_spectrum, validate
 from quatu11.cli import build_parser, main
 from quatu11.errors import (CaseMismatchError, ClaimViolationError,
                             NoRootFoundError, NotApplicableError,
                             NotEllipticError, PoleError)
 from quatu11.group import random_element
+from quatu11.invariants import IDENTITY_CHECKS
+from quatu11.spectra import SPECTRUM_TOL
+
+from probes import worked_example
+from test_cli_golden import MATRICES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-R2 = math.sqrt(2)
-
-EXAMPLE_DOC = {
-    "a": [2.0, 1.0, 0.0, 0.0],
-    "b": [-R2, R2, 0.0, 0.0],
-    "c": [-R2, R2, 0.0, 0.0],
-    "d": [-1.0, -2.0, 0.0, 0.0],
-}
+EXAMPLE_DOC = worked_example().m.to_json()
 
 
 def run_cli(*args, stdin=None):
@@ -114,6 +112,22 @@ def test_spectrum_kinds(example_file):
     left = json.loads(run_cli("spectrum", "--kind", "left", example_file).stdout)
     assert left["kind"] == "left"
     assert len(left["points"]) == 2
+
+
+def test_left_spectrum_with_oracle_prints_the_right_spheres():
+    # --kind left --oracle adds the chi oracle's right spectrum beside the
+    # left eigenvalues, with no agreement verdict of its own
+    for matrix in MATRICES:
+        path = GOLDEN / f"{matrix}.json"
+        proc = run_cli("spectrum", "--kind", "left", "--oracle", str(path))
+        assert proc.returncode == 0, matrix
+        doc = json.loads(proc.stdout)
+        assert "points" in doc and "families" in doc, matrix
+        oracle = RightSpectrum.from_pairs(
+            [(s["re"], s["modulus"]) for s in doc["oracle_spheres"]])
+        t = validate(Mat2H.from_json(
+            json.loads(path.read_text(encoding="utf-8"))))
+        assert right_spectrum(t).max_deviation(oracle) <= SPECTRUM_TOL, matrix
 
 
 def test_apply_golden(example_file):
@@ -241,6 +255,23 @@ def test_check_identities_passes():
     assert doc["pass"] is True
     names = {row["identity"] for row in doc["rows"]}
     assert "membership" in names and "delta_via_traces" in names
+
+
+def test_check_identities_pretty_prints_a_line_per_row_and_a_verdict():
+    args = ["check-identities", "--seed", "3", "--trials", "5", "--pretty"]
+    names = ["membership"] + [check.name for check in IDENTITY_CHECKS]
+    proc = run_cli(*args)
+    *rows, verdict = proc.stdout.splitlines()
+    assert proc.returncode == 0
+    assert [row.split()[0] for row in rows] == names
+    assert all(row.endswith("  ok") for row in rows)
+    assert verdict == "all passed (5 elements, seed 3)"
+    proc = run_cli(*args, "--tol-identity", "0")
+    *rows, verdict = proc.stdout.splitlines()
+    assert proc.returncode == 1
+    assert [row.split()[0] for row in rows] == names
+    assert any(row.endswith("  FAIL") for row in rows)
+    assert verdict == "FAILED (5 elements, seed 3)"
 
 
 def test_check_identities_flags_corruption():

@@ -8,7 +8,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import quatu11._diagonalize_kernel
@@ -27,7 +26,8 @@ from quatu11.group import GroupElement, _j_adjoint, membership_residual
 from quatu11.moebius import EPS_CLASS, delta, evidence
 from quatu11.quaternion import solve_similarity
 
-R2 = math.sqrt(2)
+from probes import (BAND_SINH, band_numpy_norm, dyadic_signed_zero,
+                    hex_parts, parts_matrix, quaternion_matmul, threshold_band)
 
 
 def _sphere_hit(d_entry, spectrum, tol=1e-7):
@@ -195,29 +195,9 @@ def test_result_serializes(example):
     assert doc["case"] == "Case3"
 
 
-def _near_diagonal_band(count=300, seed=95):
-    """D1 B(t) D2 with sinh t log-uniform in [1e-10.5, 1e-8], so |b| and |c|
-    straddle the stratum threshold EPS_CLASS * (1 + ||T||_F)."""
-    rng = np.random.default_rng(seed)
-
-    def unit():
-        v = rng.standard_normal(4)
-        return Quaternion(*(v / np.linalg.norm(v)))
-
-    band = []
-    for _ in range(count):
-        sh = 10.0 ** rng.uniform(-10.5, -8.0)
-        ch = math.sqrt(1.0 + sh * sh)
-        boost = Mat2H(Quaternion(ch), Quaternion(sh), Quaternion(sh),
-                      Quaternion(ch))
-        band.append(validate(Mat2H.diag(unit(), unit()) @ boost
-                             @ Mat2H.diag(unit(), unit())))
-    return band
-
-
 def test_stratum_decision_agrees_across_functions(class_pool):
     elements = [t for pool in class_pool.values() for t in pool]
-    elements += _near_diagonal_band()
+    elements += threshold_band()
     case1_count = 0
     for t in elements:
         case, cls = stratum(t)
@@ -376,32 +356,10 @@ def _diagonalize_outcome(solve, t):
         r = solve(t)
     except (QuatU11Error, ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
-    parts = [float(v).hex() for mat in (r.x.m, r.d)
-             for q in (mat.a, mat.b, mat.c, mat.d) for v in q.as_list()]
-    return (parts, float(r.residual_conjugation).hex(),
+    return (hex_parts(r.x.m) + hex_parts(r.d),
+            float(r.residual_conjugation).hex(),
             float(r.residual_membership).hex(),
             float(r.claim_residual).hex(), r.case_used)
-
-
-def _unit_diagonal(rng) -> Mat2H:
-    def unit():
-        v = rng.standard_normal(4)
-        return Quaternion(*(v / np.linalg.norm(v)).tolist())
-
-    return Mat2H.diag(unit(), unit())
-
-
-BAND_SINH = (1e-9, 1e-7, 1e-5, 1e-4, 1e-3)
-
-
-def _rng303_band(sh, count=200):
-    """Exact near-diagonal elements D1 B(t) D2, one default_rng(303) per
-    row (ROADMAP item 3(e))."""
-    rng = np.random.default_rng(303)
-    ch = math.sqrt(1.0 + sh * sh)
-    boost = Mat2H(ch, sh, sh, ch)
-    return [validate(_unit_diagonal(rng) @ boost @ _unit_diagonal(rng))
-            for _ in range(count)]
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -416,9 +374,8 @@ def _diagonalize_bit_pool(class_pool, example, signed_zero_inputs):
     for name in ("SimpleElliptic", "CompoundElliptic", "WorkedExample"):
         pool.append(validate(Mat2H.from_json(
             json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))))
-    pool += _near_diagonal_band()
-    for sh in BAND_SINH:
-        pool += _rng303_band(sh)
+    pool += threshold_band()
+    pool += [t for sh in BAND_SINH for t in band_numpy_norm(sh, 200)]
     pool += signed_zero_inputs
     pool.append(validate(Mat2H.diag(QI, QJ)))
     return pool
@@ -479,7 +436,7 @@ def test_diagonalize_builds_no_quaternion_arithmetic(class_pool, example,
     assert set(calls) == {"solve_similarity"}
 
 
-# ClaimViolationError count of each sinh t in BAND_SINH on _rng303_band; the
+# ClaimViolationError count of each sinh t in BAND_SINH on band_numpy_norm; the
 # Case-3 construction divides by quantities of the size of b - conj(c)
 # (ROADMAP item 4), and this is the count to lower.
 BAND_CLAIM_FAILURES = [200, 200, 154, 0, 0]
@@ -491,7 +448,7 @@ def test_rng303_band_claim_failures():
         for solve in (diagonalize_elliptic,
                       lambda t: _diagonalize_by_quaternions(t, Counter())):
             failures = 0
-            for t in _rng303_band(sh):
+            for t in band_numpy_norm(sh, 200):
                 try:
                     solve(t)
                 except ClaimViolationError:
@@ -500,31 +457,13 @@ def test_rng303_band_claim_failures():
         assert counts == [want, want], sh
 
 
-
-def _hex_parts(m: Mat2H) -> list:
-    return [float(v).hex() for q in (m.a, m.b, m.c, m.d) for v in q.as_list()]
-
-
 def test_product_kernel_matches_mat2h():
     # mat2h._matmul, the product behind Mat2H @ and the kernel, against the
     # entrywise Quaternion route p * r + q * s; small dyadic parts, a random
     # share of them signed zeros, so that the products with zero parts
     # decide the sign of zeros in the result
-    rng = np.random.default_rng(16)
-
-    def parts():
-        zeros = rng.random(16) < rng.random()
-        return tuple(np.where(zeros, np.copysign(0.0, rng.standard_normal(16)),
-                              rng.choice([1.0, -1.0, 2.0, -0.5, 3.0], 16))
-                     .tolist())
-
-    def matrix(p):
-        return Mat2H(*(Quaternion(*p[k:k + 4]) for k in range(0, 16, 4)))
-
-    for _ in range(2000):
-        m, n = parts(), parts()
-        got = matrix(quatu11.mat2h._matmul(m, n))
-        x, y = matrix(m), matrix(n)
-        want = Mat2H(x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
-                     x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
-        assert _hex_parts(got) == _hex_parts(want)
+    rows = iter(dyadic_signed_zero(16, 4000, [1.0, -1.0, 2.0, -0.5, 3.0]))
+    for m, n in zip(rows, rows):
+        got = parts_matrix(quatu11.mat2h._matmul(m, n))
+        want = quaternion_matmul(parts_matrix(m), parts_matrix(n))
+        assert hex_parts(got) == hex_parts(want)

@@ -22,9 +22,7 @@ from quatu11.moebius import classify
 from quatu11.quaternion import _conj
 from quatu11.spectra import SpectralSphere, SphereFamily
 
-R2 = math.sqrt(2)
-
-ROTOR = validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))
+from probes import R2, quaternion_matmul, rotor
 
 
 def test_identity_is_a_member(example):
@@ -45,7 +43,7 @@ def test_residual_scales_with_perturbation():
 
 
 def test_group_inverse_golden_values():
-    inv = inverse_u11(ROTOR)
+    inv = inverse_u11(rotor())
     assert inv.m == Mat2H(Quaternion(R2), -QI, QI, Quaternion(R2))
     both = inverse_u11(validate(Mat2H.diag(QI, QJ)))
     assert both.m == Mat2H.diag(-QI, -QJ)
@@ -194,12 +192,6 @@ def test_conjugate_cache_hit_still_checks_drift(generic_pool):
 # -- Quaternion-form bodies: the bit reference of the part-tuple routes ----
 
 
-def _quaternion_matmul(m: Mat2H, n: Mat2H) -> Mat2H:
-    """m @ n with each entry formed as Quaternion p * r + q * s."""
-    return Mat2H(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
-                 m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
-
-
 def _quaternion_j_adjoint(m: Mat2H) -> Mat2H:
     """J M* J, written out entrywise."""
     return Mat2H(m.a.conjugate(), -m.c.conjugate(),
@@ -252,8 +244,8 @@ def test_conjugate_keeps_the_bits_of_the_matmul_route(class_pool,
     for t, g in _conjugation_pairs(class_pool, generic_pool):
         # the dyadic matrices are off the group, so no drift bound applies
         got = conjugate(t, g, tol=math.inf)
-        want = _quaternion_matmul(_quaternion_matmul(g.m, t.m),
-                                  _quaternion_j_adjoint(g.m))
+        want = quaternion_matmul(quaternion_matmul(g.m, t.m),
+                                 _quaternion_j_adjoint(g.m))
         assert repr(got.m) == repr(want)
         assert repr(g.m @ t.m @ _j_adjoint(g.m)) == repr(want)
         assert float.hex(got.membership_residual) == \

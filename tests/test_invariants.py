@@ -3,7 +3,6 @@
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
 
 import quatu11.invariants
@@ -15,7 +14,7 @@ from quatu11.errors import NotApplicableError
 from quatu11.invariants import (IDENTITY_CHECKS, SINGLE_ELEMENT_CHECKS,
                                 _power_values)
 
-R2 = math.sqrt(2)
+from probes import dyadic_signed_zero, gaussian_scales, parts_matrix, rotor
 
 
 def test_delta_golden_values(example):
@@ -30,12 +29,12 @@ def test_delta_legacy_matches_on_the_example(example):
 
 def test_delta_legacy_requires_case_three():
     diagonal = validate(Mat2H.diag(QI, QJ))  # b == c == 0
-    rotor = validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))  # b == conj(c)
+    loxodromic = rotor()  # b == conj(c)
     # b == 0 != c: no group element has this pattern, and stratum raises
     # MembershipError, which delta_legacy reports as not applicable
     lower = Mat2H(Quaternion(1.0), Quaternion(), QI, Quaternion(1.0))
     one_zero = GroupElement(lower, membership_residual(lower))
-    for t in (diagonal, rotor, one_zero):
+    for t in (diagonal, loxodromic, one_zero):
         with pytest.raises(NotApplicableError):
             delta_legacy(t)
         assert report(t).delta_legacy is None
@@ -84,28 +83,16 @@ def test_powers_are_formed_once_and_match_mat_pow(class_pool):
         assert _hex(values) == _hex(_power_values_by_matmul(t))
 
 
-def _parts_matrix(parts) -> Mat2H:
-    parts = [float(p) for p in parts]
-    return Mat2H(*(Quaternion(*parts[k:k + 4]) for k in range(0, 16, 4)))
-
-
 def test_power_values_keep_the_bits_of_the_matmul_route(class_pool,
                                                         generic_pool):
     pool = [t.m for members in class_pool.values() for t in members]
     pool += [t.m for t in generic_pool]
     # off-group Gaussians at scales 1e-6 .. 1e6
-    rng = np.random.default_rng(1717)
-    for exponent in range(-6, 7):
-        pool += [_parts_matrix(10.0 ** exponent * rng.standard_normal(16))
-                 for _ in range(20)]
+    pool += [parts_matrix(p) for p in gaussian_scales(1717, 20)]
     # small dyadic parts, a random share of them signed zeros, so that the
     # zero parts decide the sign of zero traces
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        zeros = rng.random(16) < rng.random()
-        pool.append(_parts_matrix(np.where(
-            zeros, np.copysign(0.0, rng.standard_normal(16)),
-            rng.choice([1.0, -1.0, 2.0, -0.5, 3.0], 16))))
+    pool += [parts_matrix(p) for p in dyadic_signed_zero(
+        17, 1000, [1.0, -1.0, 2.0, -0.5, 3.0])]
     negative_zero_traces = 0
     for m in pool:
         t = GroupElement(m, membership_residual(m))

@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from quatu11 import Mat2H, QI, QJ, QK, Quaternion
 
-R2 = math.sqrt(2)
+from probes import R2, hex_parts, parts_matrix, quaternion_matmul
 
 
 def _random_matrix(rng) -> Mat2H:
-    vals = rng.uniform(-10.0, 10.0, size=16)
-    return Mat2H(*(Quaternion(*vals[4 * k:4 * k + 4]) for k in range(4)))
+    return parts_matrix(rng.uniform(-10.0, 10.0, size=16))
 
 
 def test_identity_and_diag():
@@ -43,19 +42,13 @@ def test_matmul_identity_and_associativity():
         assert (lhs - rhs).frobenius() <= 1e-9 * (1.0 + m.frobenius() * n.frobenius() * p.frobenius())
 
 
-def _entrywise_product(x: Mat2H, y: Mat2H) -> Mat2H:
-    """The matrix product through Quaternion.__mul__ and __add__."""
-    return Mat2H(x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
-                 x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
-
-
 def _bits(m: Mat2H) -> tuple:
     # repr tells -0.0 from 0.0 and an int from a float, which == does not
     return tuple(repr(v) for q in (m.a, m.b, m.c, m.d) for v in q.as_list())
 
 
 def _assert_same_product(x: Mat2H, y: Mat2H) -> None:
-    got, want = x @ y, _entrywise_product(x, y)
+    got, want = x @ y, quaternion_matmul(x, y)
     assert got == want
     assert _bits(got) == _bits(want)
 
@@ -92,10 +85,6 @@ def test_left_scalar_multiplication():
     assert QJ * m == Mat2H(QJ * QI, QJ * QJ, QJ * QK, QJ)
 
 
-def _part_bits(m: Mat2H) -> list:
-    return [float(v).hex() for q in (m.a, m.b, m.c, m.d) for v in q.as_list()]
-
-
 def test_real_scalar_scales_every_part():
     # no Hamilton product with the zero parts of Quaternion.real(s), which
     # would turn -0.0 parts of the result into +0.0
@@ -105,12 +94,12 @@ def test_real_scalar_scales_every_part():
                     Quaternion(0.0, -0.0, 0.5, 0.0))):
         negated = Mat2H(*(Quaternion(*(-v for v in q.as_list()))
                           for q in (m.a, m.b, m.c, m.d)))
-        assert _part_bits(-1.0 * m) == _part_bits(negated)
-        assert _part_bits(-1 * m) == _part_bits(negated)
-        assert _part_bits(1.0 * m) == _part_bits(m)
-        assert _part_bits(2.5 * m) == [float(2.5 * v).hex()
-                                       for v in (p for q in (m.a, m.b, m.c, m.d)
-                                                 for p in q.as_list())]
+        assert hex_parts(-1.0 * m) == hex_parts(negated)
+        assert hex_parts(-1 * m) == hex_parts(negated)
+        assert hex_parts(1.0 * m) == hex_parts(m)
+        assert hex_parts(2.5 * m) == [float(2.5 * v).hex()
+                                      for v in (p for q in (m.a, m.b, m.c, m.d)
+                                                for p in q.as_list())]
 
 
 def test_adjoint_transposes_and_conjugates():

@@ -14,9 +14,9 @@ from quatu11.group import GroupElement
 from quatu11.mat2h import _matrix
 from quatu11.moebius import _derive, apply, classify, delta, evidence
 
-R2 = math.sqrt(2)
+from probes import R2, gaussian_scales, parts_matrix, rotor, same_bits
 
-ROTOR = validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))
+ROTOR = rotor()
 
 
 def test_example_is_compound_elliptic(example):
@@ -85,11 +85,7 @@ def _delta_by_quaternions(m: Mat2H) -> float:
 def _delta_samples(class_pool):
     for pool in class_pool.values():
         yield from (t.m for t in pool)
-    rng = np.random.default_rng(73)
-    for scale in (10.0 ** k for k in range(-6, 7)):
-        for _ in range(10):
-            parts = (rng.standard_normal(16) * scale).tolist()
-            yield Mat2H(*(Quaternion(*parts[i:i + 4]) for i in (0, 4, 8, 12)))
+    yield from (parts_matrix(p) for p in gaussian_scales(73, 10))
     # b and c built from signed zeros and one nonzero value, a and d real
     for bits in itertools.product((0.0, -0.0, 1.5), repeat=4):
         b = Quaternion(bits[0], bits[1], -0.0, bits[2])
@@ -105,8 +101,7 @@ def test_delta_matches_the_quaternion_route_bit_for_bit(class_pool):
         got = _derive(_matrix(m))[:4]
         want = ((m.b - m.c.conjugate()).norm_sq(), _delta_by_quaternions(m),
                 m.b.norm(), m.c.norm())
-        assert all(g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
-                   for g, w in zip(got, want, strict=True)), m
+        assert same_bits(got, want), m
         count += 1
     assert count == 36 + 130 + 81
 
@@ -162,11 +157,6 @@ def _apply_by_quaternions(t, z):
     return (m.a * z + m.b) * (m.c * z + m.d).inverse()
 
 
-def _same_bits(got, want):
-    return all(g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
-               for g, w in zip(got, want, strict=True))
-
-
 def _ball_points(rng, count):
     points = [Quaternion(0.0, -0.0, 0.0, -0.0), Quaternion(-0.0, 0.0, -0.0),
               Quaternion(0.5, -0.0, 0.0, -0.0), Quaternion(-0.0, 0.3, -0.0, 0.0)]
@@ -185,8 +175,8 @@ def test_apply_keeps_the_bits_of_the_quaternion_route(class_pool, example,
                                       validate(Mat2H.identity())]
     for t in elements:
         for z in _ball_points(rng, 6):
-            assert _same_bits(apply(t, z).as_list(),
-                              _apply_by_quaternions(t, z).as_list()), (t, z)
+            assert same_bits(apply(t, z).as_list(),
+                             _apply_by_quaternions(t, z).as_list()), (t, z)
 
 
 def test_apply_composes_like_the_group(example, generic_pool):

@@ -132,6 +132,13 @@ def test_solve_similarity_rejects_dissimilar():
         solve_similarity(QI, Quaternion(2.0, 3.0, 0.0, 0.0))
 
 
+def test_solve_similarity_rejects_a_real_target_for_a_non_real_source():
+    # 1 + 1e-5 i and 1 are similar within SIMILARITY_TOL, but no unit x
+    # turns a real quaternion into a non-real one
+    with pytest.raises(NotSimilarError, match=" is real but .* is not"):
+        solve_similarity(Quaternion(1.0, 1e-5), Quaternion(1.0))
+
+
 def test_json_round_trip():
     q = Quaternion(1.5, -2.0, 0.25, 3.0)
     assert Quaternion.from_list(q.as_list()) == q

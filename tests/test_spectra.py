@@ -20,9 +20,10 @@ from quatu11.errors import (NegativeRadicandError, NoRootFoundError,
 from quatu11.moebius import EPS_CLASS, delta
 from quatu11.spectra import _clamped_sqrt
 
-R2 = math.sqrt(2)
+from probes import (BAND_SINH, R2, band_python_norm, dyadic_signed_zero,
+                    gaussian_scales, parts_matrix, rotor, same_bits)
 
-ROTOR = validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))
+ROTOR = rotor()
 
 
 def _spheres(t):
@@ -139,11 +140,6 @@ def _casewise_case3_by_quaternions(t):
     return RightSpectrum.from_pairs(spectra._sphere_pairs(trace_half, dlt))
 
 
-def _same_bits(got, want):
-    return all(g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
-               for g, w in zip(got, want, strict=True))
-
-
 def _sphere_parts(spectrum):
     return [v for s in spectrum.spheres for v in (s.re, s.modulus)]
 
@@ -164,8 +160,8 @@ def test_casewise_keeps_the_bits_of_the_quaternion_route(
         if stratum(t)[0] is not DiagonalizationCase.CASE3:
             continue
         seen[classify(t)] += 1
-        assert _same_bits(_sphere_parts(right_spectrum_casewise(t)),
-                          _sphere_parts(_casewise_case3_by_quaternions(t))), t
+        assert same_bits(_sphere_parts(right_spectrum_casewise(t)),
+                         _sphere_parts(_casewise_case3_by_quaternions(t))), t
     assert min(seen[cls] for cls in (MoebiusClass.COMPOUND_ELLIPTIC,
                                      MoebiusClass.COMPOUND_PARABOLIC,
                                      MoebiusClass.COMPOUND_LOXODROMIC)) >= 20
@@ -177,7 +173,7 @@ def test_oracle_reads_the_eigenvalues_with_the_bits_of_float(
         eigenvalues = np.linalg.eigvals(t.m.chi())
         got = [v for e in eigenvalues.tolist() for v in (e.real, abs(e))]
         want = [v for e in eigenvalues for v in (float(e.real), float(abs(e)))]
-        assert _same_bits(got, want), t
+        assert same_bits(got, want), t
 
 
 def test_verify_s_point_accepts_and_rejects(example):
@@ -246,11 +242,7 @@ def _left_pool(class_pool, generic_pool):
     matrices at scales 1e-3, 1 and 1e3."""
     pool = [t.m for members in class_pool.values() for t in members]
     pool += [t.m for t in generic_pool[:25]]
-    rng = np.random.default_rng(176)
-    for scale in (1e-3, 1.0, 1e3):
-        for _ in range(100):
-            v = scale * rng.standard_normal(16)
-            pool.append(Mat2H(*(Quaternion(*v[k:k + 4]) for k in range(0, 16, 4))))
+    pool += [parts_matrix(p) for p in gaussian_scales(176, 100, (-3, 0, 3))]
     return pool
 
 
@@ -399,20 +391,6 @@ def _assert_left_routes_agree(m, branches):
     assert _left_outcome(left_eigenvalues, m) == want, m
 
 
-def _matrix(parts) -> Mat2H:
-    parts = [float(p) for p in parts]
-    return Mat2H(*(Quaternion(*parts[k:k + 4]) for k in range(0, 16, 4)))
-
-
-def _unit_diagonal(rng) -> Mat2H:
-    def unit():
-        v = rng.standard_normal(4).tolist()
-        n = math.sqrt(sum(p * p for p in v))
-        return Quaternion(*(p / n for p in v))
-
-    return Mat2H.diag(unit(), unit())
-
-
 def _left_bit_pool(class_pool, generic_pool):
     """Matrices that between them reach every branch of left_eigenvalues."""
     pool = [t.m for members in class_pool.values() for t in members]
@@ -421,17 +399,9 @@ def _left_bit_pool(class_pool, generic_pool):
              for hint in [None] + [c.value for c in MoebiusClass]
              for k in range(40)]
     # off-group Gaussians at scales 1e-6 .. 1e6
-    rng = np.random.default_rng(4242)
-    for exponent in range(-6, 7):
-        pool += [_matrix(10.0 ** exponent * rng.standard_normal(16))
-                 for _ in range(20)]
+    pool += [parts_matrix(p) for p in gaussian_scales(4242, 20)]
     # exact near-diagonal elements D1 B(t) D2 (ROADMAP item 3(e))
-    for sh in (1e-9, 1e-7, 1e-5, 1e-4, 1e-3):
-        rng = np.random.default_rng(303)
-        ch = math.sqrt(1.0 + sh * sh)
-        boost = Mat2H(ch, sh, sh, ch)
-        pool += [_unit_diagonal(rng) @ boost @ _unit_diagonal(rng)
-                 for _ in range(40)]
+    pool += [t.m for sh in BAND_SINH for t in band_python_norm(sh, 40)]
     # real B and C, a sphere family or two real roots, then perturbed off
     # the real axis by delta (ROADMAP item 3(e))
     for delta in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
@@ -445,17 +415,13 @@ def _left_bit_pool(class_pool, generic_pool):
             pool.append(Mat2H(a, b, c, d))
     # small dyadic entries, a random share of them signed zeros, so that
     # exact zeros reach every sum
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        zeros = rng.random(16) < rng.random()
-        pool.append(_matrix(np.where(
-            zeros, np.copysign(0.0, rng.standard_normal(16)),
-            rng.choice([1.0, -1.0, 2.0, -2.0, 0.5, 3.0], 16))))
+    pool += [parts_matrix(p) for p in dyadic_signed_zero(
+        5, 1000, [1.0, -1.0, 2.0, -2.0, 0.5, 3.0])]
     pool += [ROTOR.m, ROTOR.m @ ROTOR.m, Mat2H.diag(QI, QJ),
              Mat2H(1.0, 1.0, 0.0, 1.0),
              # Im B == (-0.0, 0.0, 0.0): b + T turns its -0.0 into +0.0
-             _matrix([0.0, 0.0, -0.0, 0.0, -0.0, 2.0, 0.0, -0.0,
-                      0.5, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0]),
+             parts_matrix([0.0, 0.0, -0.0, 0.0, -0.0, 2.0, 0.0, -0.0,
+                           0.5, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0]),
              # B == 0 and C a hair off the real axis: z == 0, and the roots
              # are +-sqrt(-c)
              Mat2H(1.0, 1.0, Quaternion(-1e6, -2e-10), 1.0)]
