@@ -37,19 +37,27 @@ __all__ = [
 ]
 
 
+def _delta_legacy(t: GroupElement) -> Optional[float]:
+    """delta_legacy(t), or None where the cached stratum is not Case 3."""
+    pair = _derived(t)[4]  # None if exactly one of b, c is zero
+    if pair is None or pair[0] is not DiagonalizationCase.CASE3:
+        return None
+    m = t.m
+    lead = m.c.conjugate().inverse() * m.b
+    inner = lead * m.d.conjugate() + m.d
+    return inner.imag().norm_sq() - (lead - 1.0).norm_sq()
+
+
 def delta_legacy(t: GroupElement) -> float:
     """Entry formula |Im(conj(c)^-1 b conj(d) + d)|^2 - |conj(c)^-1 b - 1|^2.
 
     Defined only where `stratum` finds b != conj(c) != 0 (Case 3); agrees
     with delta there.
     """
-    pair = _derived(t)[4]  # None if exactly one of b, c is zero
-    if pair is None or pair[0] is not DiagonalizationCase.CASE3:
+    legacy = _delta_legacy(t)
+    if legacy is None:
         raise NotApplicableError("legacy delta needs b != conj(c) != 0")
-    m = t.m
-    lead = m.c.conjugate().inverse() * m.b
-    inner = lead * m.d.conjugate() + m.d
-    return inner.imag().norm_sq() - (lead - 1.0).norm_sq()
+    return legacy
 
 
 def _power_values(t: GroupElement) -> tuple:
@@ -102,11 +110,7 @@ class InvariantReport(Record):
 
 
 def report(t: GroupElement) -> InvariantReport:
-    try:
-        legacy = delta_legacy(t)
-    except NotApplicableError:
-        legacy = None
-    return InvariantReport(*_power_values(t)[:6], legacy)
+    return InvariantReport(*_power_values(t)[:6], _delta_legacy(t))
 
 
 # -- identity checks -------------------------------------------------------
@@ -175,11 +179,8 @@ def _check_delta_sixth_mutual(t: GroupElement, _g: GroupElement) -> float:
 
 
 def _check_delta_legacy(t: GroupElement, _g: GroupElement) -> float:
-    try:
-        legacy = delta_legacy(t)
-    except NotApplicableError:
-        return 0.0
-    return abs(_power_values(t)[5] - legacy)
+    legacy = _delta_legacy(t)
+    return 0.0 if legacy is None else abs(_power_values(t)[5] - legacy)
 
 
 def _check_delta_similarity(t: GroupElement, g: GroupElement) -> float:

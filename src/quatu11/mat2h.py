@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from .errors import NotApplicableError
 from .quaternion import ONE, ZERO, Quaternion, Record, _new
 
 if TYPE_CHECKING:
@@ -139,8 +140,12 @@ class Mat2H(Record):
     def is_singular(self, tol: float = SINGULAR_TOL) -> bool:
         import numpy as np
         rep = self.chi()
+        norm = np.linalg.norm(rep)
+        if not math.isfinite(norm):
+            raise NotApplicableError(
+                f"the singularity test needs a finite matrix norm, got {norm}")
         smallest = np.linalg.svd(rep, compute_uv=False)[-1]
-        return bool(smallest <= tol * (1.0 + np.linalg.norm(rep)))
+        return bool(smallest <= tol * (1.0 + norm))
 
 
 _set_a, _set_b, _set_c, _set_d = Mat2H._slot_setters()

@@ -90,18 +90,20 @@ class RightSpectrum(Record):
 
     @classmethod
     def from_pairs(cls, pairs, collapse_tol: float = COLLAPSE_TOL) -> "RightSpectrum":
-        ordered = sorted(pairs, key=lambda p: (-p[0], -p[1]))
-        merged: list[list] = []
-        for re, mod in ordered:
-            if merged and abs(re - merged[-1][0] / merged[-1][2]) <= collapse_tol \
-                    and abs(mod - merged[-1][1] / merged[-1][2]) <= collapse_tol:
-                merged[-1][0] += re
-                merged[-1][1] += mod
-                merged[-1][2] += 1
-            else:
-                merged.append([re, mod, 1])
-        spheres = tuple(SpectralSphere(s / n, m / n) for s, m, n in merged)
-        return cls(spheres)
+        """Pairs in descending order, each merged into the run before it while
+        both parts lie within collapse_tol of the run's sum / count."""
+        spheres, n = [], 0
+        for re, mod in sorted(pairs, reverse=True):
+            if n and abs(re - re_sum / n) <= collapse_tol \
+                    and abs(mod - mod_sum / n) <= collapse_tol:
+                re_sum, mod_sum, n = re_sum + re, mod_sum + mod, n + 1
+                continue
+            if n:
+                spheres.append(SpectralSphere(re_sum / n, mod_sum / n))
+            re_sum, mod_sum, n = re, mod, 1
+        if n:
+            spheres.append(SpectralSphere(re_sum / n, mod_sum / n))
+        return cls(tuple(spheres))
 
     def max_deviation(self, other: "RightSpectrum") -> float:
         """Symmetric Hausdorff-style distance on (re, modulus) data."""
@@ -212,20 +214,25 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
     of the closed-form machinery above.
     """
     import numpy as np
-    eigenvalues = np.linalg.eigvals(m.chi())
-    pairs = sorted((e.real, abs(e)) for e in eigenvalues.tolist())
-    clusters: list[list[float]] = []
-    for re, mod in pairs:
-        if clusters:
-            n = clusters[-1][2]
-            if (abs(re - clusters[-1][0] / n) <= 1e-8 * (1.0 + abs(re))
-                    and abs(mod - clusters[-1][1] / n) <= 1e-8 * (1.0 + mod)):
-                clusters[-1][0] += re
-                clusters[-1][1] += mod
-                clusters[-1][2] += 1
-                continue
-        clusters.append([re, mod, 1])
-    return RightSpectrum.from_pairs([(s / n, m_ / n) for s, m_, n in clusters])
+    try:
+        eigenvalues = np.linalg.eigvals(m.chi()).tolist()
+    except np.linalg.LinAlgError:
+        eps = _entry_eps(_matrix(m))
+        if math.isfinite(eps):
+            raise
+        raise NotApplicableError(
+            f"the oracle needs a finite matrix norm, got {eps}") from None
+    pairs, n = [], 0
+    for re, mod in sorted((e.real, abs(e)) for e in eigenvalues):
+        if n and abs(re - re_sum / n) <= 1e-8 * (1.0 + abs(re)) \
+                and abs(mod - mod_sum / n) <= 1e-8 * (1.0 + mod):
+            re_sum, mod_sum, n = re_sum + re, mod_sum + mod, n + 1
+            continue
+        if n:
+            pairs.append((re_sum / n, mod_sum / n))
+        re_sum, mod_sum, n = re, mod, 1
+    pairs.append((re_sum / n, mod_sum / n))
+    return RightSpectrum.from_pairs(pairs)
 
 
 # -- left spectrum ---------------------------------------------------------

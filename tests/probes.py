@@ -4,9 +4,11 @@ Each family is a function that builds the same rows on every call.  Its
 docstring names the seed and the numpy draws of each row, in order, so a
 row can be rebuilt outside the tests.  The bit references are the single
 copies of the Quaternion-form helpers the test modules compare the library
-against.
+against, and the digest helpers turn outputs into the rows and chunk
+digests that tests/golden/*_digest.json files pin.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -50,6 +52,26 @@ def same_bits(got, want) -> bool:
                for g, w in zip(got, want, strict=True))
 
 
+def hex_row(values) -> str:
+    """One digest row: float.hex of each float, str of anything else (None,
+    a count), joined by spaces."""
+    return " ".join(v.hex() if isinstance(v, float) else str(v)
+                    for v in values)
+
+
+def error_row(exc: Exception) -> str:
+    """The digest row of a raised exception: its type and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def chunk_digests(rows, size: int = 64) -> list:
+    """sha256 of each run of size rows, one row a line: a mismatch names
+    the chunks whose rows moved."""
+    return [hashlib.sha256("".join(f"{row}\n" for row in rows[k:k + size])
+                           .encode()).hexdigest()
+            for k in range(0, len(rows), size)]
+
+
 # -- fixed elements ---------------------------------------------------------
 
 
@@ -64,6 +86,21 @@ def worked_example():
 def rotor():
     """The simple loxodromic element [[r2, i], [-i, r2]], with b == conj(c)."""
     return validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))
+
+
+def non_finite_matrices() -> list:
+    """(matrix, norm as printed) rows: the worked example with one part of
+    a, b or d set to inf, -inf or NaN; no random draws."""
+    m = worked_example().m
+    parts = [v for q in (m.a, m.b, m.c, m.d) for v in q.as_list()]
+    rows = []
+    for value, shown in ((math.inf, "inf"), (-math.inf, "inf"),
+                         (math.nan, "nan")):
+        for k in (0, 5, 15):
+            row = list(parts)
+            row[k] = value
+            rows.append((parts_matrix(row), shown))
+    return rows
 
 
 # -- sampled members --------------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatu11 import Mat2H, QI, QJ, QK, Quaternion
+from quatu11.errors import NotApplicableError
 
-from probes import R2, hex_parts, parts_matrix, quaternion_matmul
+from probes import (R2, hex_parts, non_finite_matrices, parts_matrix,
+                    quaternion_matmul)
 
 
 def _random_matrix(rng) -> Mat2H:
@@ -181,6 +183,16 @@ def test_is_singular_golden_values():
     # noncommutative Schur complement a - b d^{-1} c = i - j(-1)k = 2i != 0,
     # so despite its look this one is invertible
     assert not Mat2H(QI, QJ, QK, Quaternion(-1.0)).is_singular()
+
+
+@pytest.mark.parametrize("m,shown", non_finite_matrices())
+def test_is_singular_rejects_a_non_finite_matrix(m, shown, capfd):
+    # an inf part used to answer False and print LAPACK's DLASCL lines to
+    # stderr; a NaN part raised numpy's LinAlgError from the SVD
+    with pytest.raises(NotApplicableError,
+                       match=f"needs a finite matrix norm, got {shown}$"):
+        m.is_singular()
+    assert capfd.readouterr() == ("", "")
 
 
 def test_json_round_trip_and_validation():

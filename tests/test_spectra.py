@@ -21,7 +21,8 @@ from quatu11.moebius import EPS_CLASS, delta
 from quatu11.spectra import _clamped_sqrt
 
 from probes import (BAND_SINH, R2, band_python_norm, dyadic_signed_zero,
-                    gaussian_scales, parts_matrix, rotor, same_bits)
+                    gaussian_scales, non_finite_matrices, parts_matrix, rotor,
+                    same_bits)
 
 ROTOR = rotor()
 
@@ -174,6 +175,14 @@ def test_oracle_reads_the_eigenvalues_with_the_bits_of_float(
         got = [v for e in eigenvalues.tolist() for v in (e.real, abs(e))]
         want = [v for e in eigenvalues for v in (float(e.real), float(abs(e)))]
         assert same_bits(got, want), t
+
+
+@pytest.mark.parametrize("m,shown", non_finite_matrices())
+def test_oracle_rejects_a_non_finite_matrix(m, shown):
+    # numpy's eigvals used to raise LinAlgError here
+    with pytest.raises(NotApplicableError,
+                       match=f"needs a finite matrix norm, got {shown}$"):
+        right_spectrum_oracle(m)
 
 
 def test_verify_s_point_accepts_and_rejects(example):
