@@ -3,9 +3,9 @@
 Every sum is formed in the order the Quaternion and Mat2H operations of the
 construction form it, zero parts included where they can set the sign of a
 zero, so the result has the bits of that route (the Quaternion-form bodies
-live on as the bit reference in tests/test_diagonalize.py).  Quaternions
-are built only for X and D and for the arguments of
-`quaternion.solve_similarity`, which runs in its Quaternion form.
+live on as the bit reference in tests/test_diagonalize.py).  T's entries
+are slices of its parts; Quaternions are built only for the points of D
+and for `quaternion.solve_similarity`, which runs in its Quaternion form.
 `diagonalize_elliptic` imports this module on its first Case-2 or Case-3
 element.
 """
@@ -18,17 +18,13 @@ from .diagonalize import CLAIM_TOL, DiagonalizationResult
 from .errors import CaseMismatchError, ClaimViolationError
 from .group import (GroupElement, _j_adjoint_parts, membership_residual,
                     validate)
-from .mat2h import Mat2H, _from_parts, _matmul, _matrix
+from .mat2h import Mat2H, _from_parts, _matmul
 from .moebius import DiagonalizationCase, _derived
 from .quaternion import Quaternion, _conj, _new, _qmul, solve_similarity
 from .spectra import _RADICAND_FLOOR
 
 # -- arithmetic on (w, x, y, z) part tuples ---------------------------------
 # Each sums as the Quaternion or Mat2H operation it stands for.
-
-
-def _parts(q: Quaternion) -> tuple:
-    return q.w, q.x, q.y, q.z
 
 
 def _neg(p: tuple) -> tuple:
@@ -69,10 +65,10 @@ def _conjugation_residual(x: tuple, m: Mat2H, d: Mat2H) -> float:
     bits of the Mat2H route: the Frobenius sum over a, b, c, d, and the
     off-diagonal zeros of D dropped, since q - 0.0 == q for every float q."""
     (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = \
-        _matmul(_matmul(x, _matrix(m)), _j_adjoint_parts(x))
-    p, q = d.a, d.d
-    a0, a1, a2, a3 = a0 - p.w, a1 - p.x, a2 - p.y, a3 - p.z
-    d0, d1, d2, d3 = d0 - q.w, d1 - q.x, d2 - q.y, d3 - q.z
+        _matmul(_matmul(x, m._p), _j_adjoint_parts(x))
+    p = d._p
+    a0, a1, a2, a3 = a0 - p[0], a1 - p[1], a2 - p[2], a3 - p[3]
+    d0, d1, d2, d3 = d0 - p[12], d1 - p[13], d2 - p[14], d3 - p[15]
     return math.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3)
                      + (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3)
                      + (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
@@ -82,10 +78,9 @@ def _conjugation_residual(x: tuple, m: Mat2H, d: Mat2H) -> float:
 def case2(t: GroupElement) -> DiagonalizationResult:
     """Diagonalize T with b == conj(c) != 0 and d0^2 < 1."""
     m = t.m
-    dq = m.d
-    d0 = dq.w
+    d0, d1, d2, d3 = m._p[12:16]
 
-    c = _parts(m.c)
+    c = m._p[8:12]
     c_mod = _norm(c)
     phase = _scaled(c, 1.0 / c_mod)
     # x1 = diag(phase, 1) and x1 T x1^-1 == [[conj(d), |c|], [|c|, d]];
@@ -94,8 +89,8 @@ def case2(t: GroupElement) -> DiagonalizationResult:
     lam1 = math.sqrt(1.0 - d0 * d0)
     lam2 = math.sqrt(1.0 - d0 * d0 + c_mod * c_mod)
     # y = conj(solve_similarity(conj(d), d0 + lam2 i))
-    y0, y1, y2, y3 = _conj(_parts(solve_similarity(
-        _new(d0, -dq.x, -dq.y, -dq.z), Quaternion(d0, lam2))))
+    y = solve_similarity(_new(d0, -d1, -d2, -d3), Quaternion(d0, lam2))
+    y0, y1, y2, y3 = y.w, -y.x, -y.y, -y.z
 
     k = 1.0 / math.sqrt(2.0 * lam1 * (lam1 + lam2))
     # X = z diag(y, y) x1 with z == [[k (lam1 + lam2), -k |c| i],
@@ -132,7 +127,7 @@ def _unit_point(s0: float) -> Quaternion:
 def case3(t: GroupElement) -> DiagonalizationResult:
     """Diagonalize T with b != conj(c) != 0 and delta < 0."""
     m = t.m
-    a, b, c, dq = _parts(m.a), _parts(m.b), _parts(m.c), _parts(m.d)
+    a, b, c, dq = m._p[0:4], m._p[4:8], m._p[8:12], m._p[12:16]
     # b - conj(c); x - (-y) is x + y
     bc = _add(b, (-c[0], c[1], c[2], c[3]))
     gap, dlt = _derived(t)[:2]  # gap is _norm_sq(bc) bit for bit
@@ -164,7 +159,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     def row_seed(pair):
         sigma, pv = pair
         u = _scaled(_qmul(bc, _conj(pv)), -1.0 / (nbc * nbc))
-        x = _parts(solve_similarity(sigma, _new(*u)))
+        x = solve_similarity(sigma, _new(*u)).as_list()
         ratio = _qmul(_add(_qmul(bc, _inverse(pv)), a), c_inv)
         return x, ratio
 

@@ -22,11 +22,9 @@ other under conjugation (Claim C).
 
 from __future__ import annotations
 
-import math
-
 from .errors import NotEllipticError
 from .group import GroupElement
-from .mat2h import Mat2H
+from .mat2h import Mat2H, _frobenius, _from_parts
 from .moebius import DiagonalizationCase, stratum
 from .quaternion import Record
 
@@ -77,11 +75,12 @@ def diagonalize_elliptic(t: GroupElement) -> DiagonalizationResult:
         raise NotEllipticError("only elliptic elements diagonalize over the "
                                "unit spectrum")
     if case is DiagonalizationCase.CASE1:
-        m = t.m
+        p = t.m._p
         # T - diag(a, d) is [[0, b], [c, 0]] exactly, as q - q == 0.0.
         return DiagonalizationResult(
-            GroupElement(Mat2H.identity(), 0.0), Mat2H.diag(m.a, m.d),
-            math.sqrt(m.b.norm_sq() + m.c.norm_sq()), 0.0,
+            GroupElement(Mat2H.identity(), 0.0),
+            _from_parts(p[0:4] + (0.0,) * 8 + p[12:16]),
+            _frobenius((0.0,) * 4 + p[4:12] + (0.0,) * 4), 0.0,
             DiagonalizationCase.CASE1)
     # Imported on first use: without cached bytecode every import of the
     # package compiles its source, and only this call needs the kernel.

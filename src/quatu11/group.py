@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
-from .mat2h import Mat2H, _from_parts, _matmul, _matrix
+from .mat2h import Mat2H, _from_parts, _matmul
 from .quaternion import Record, _conj, _qmul
 
 MEMBERSHIP_TOL = 1e-9
@@ -38,7 +38,7 @@ __all__ = [
 def membership_residual(m: Mat2H) -> float:
     """Worst of |a| - |d|, |b| - |c|, |a conj(c) - b conj(d)| and
     ||T* J T - J||_F; NaN if any of them is NaN."""
-    return _residual(_matrix(m))
+    return _residual(m._p)
 
 
 def _residual(p: tuple) -> float:
@@ -124,7 +124,7 @@ def _j_adjoint_parts(p: tuple) -> tuple:
 
 
 def _j_adjoint(m: Mat2H) -> Mat2H:
-    return _from_parts(_j_adjoint_parts(_matrix(m)))
+    return _from_parts(_j_adjoint_parts(m._p))
 
 
 def inverse_u11(t: GroupElement) -> GroupElement:
@@ -140,8 +140,8 @@ def conjugate(t: GroupElement, g: GroupElement,
     check (residual <= 100 tol) runs on every call."""
     cached = t._conjugate
     if cached is None or cached[0] is not g:
-        gp = _matrix(g.m)
-        product = _matmul(_matmul(gp, _matrix(t.m)), _j_adjoint_parts(gp))
+        gp = g.m._p
+        product = _matmul(_matmul(gp, t.m._p), _j_adjoint_parts(gp))
         cached = (g, GroupElement(_from_parts(product), _residual(product)))
         _set_conjugate(t, cached)
     residual = cached[1].membership_residual

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .errors import NotApplicableError
 from .group import GroupElement, _set_powers, conjugate
-from .mat2h import _matmul, _matrix
+from .mat2h import _matmul
 from .moebius import DiagonalizationCase, _derived, _gap_delta, delta
 from .quaternion import Record
 
@@ -43,8 +43,9 @@ def _delta_legacy(t: GroupElement) -> Optional[float]:
     if pair is None or pair[0] is not DiagonalizationCase.CASE3:
         return None
     m = t.m
+    d = m.d
     lead = m.c.conjugate().inverse() * m.b
-    inner = lead * m.d.conjugate() + m.d
+    inner = lead * d.conjugate() + d
     return inner.imag().norm_sq() - (lead - 1.0).norm_sq()
 
 
@@ -66,15 +67,14 @@ def _power_values(t: GroupElement) -> tuple:
     first use from the part tuples of T^2, T^3, T^4 and T^6 = T^4 T^2."""
     values = t._powers
     if values is None:
-        m = t.m
-        p = _matrix(m)
+        p = t.m._p
         p2 = _matmul(p, p)
         p3 = _matmul(p2, p)
         p4 = _matmul(p3, p)
         p6 = _matmul(p4, p2)
         tr2, tr3, tr4, tr6 = [2.0 * (q[0] + q[12]) for q in (p2, p3, p4, p6)]
         d2, d3, d6 = [_gap_delta(q)[1] for q in (p2, p3, p6)]
-        values = (m.tr(), tr2, tr3, tr4, tr6, _derived(t)[1], d2, d3, d6)
+        values = (t.m.tr(), tr2, tr3, tr4, tr6, _derived(t)[1], d2, d3, d6)
         _set_powers(t, values)
     return values
 

@@ -11,10 +11,11 @@ chi(M) to numpy.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .errors import NotApplicableError
-from .quaternion import ONE, ZERO, Quaternion, Record, _new
+from .quaternion import Quaternion, Record, _conj, _new, _qmul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,97 +31,103 @@ def is_json_number(value) -> bool:
         and math.isfinite(value)
 
 
-def _entry(value) -> Quaternion:
+def _entry_parts(value) -> tuple:
     if isinstance(value, Quaternion):
-        return value
+        return value.w, value.x, value.y, value.z
     if isinstance(value, (int, float)):
-        return Quaternion(float(value), 0.0, 0.0, 0.0)
+        return float(value), 0.0, 0.0, 0.0
     raise TypeError(f"matrix entries must be quaternions or reals, got {value!r}")
 
 
-class Mat2H(Record):
-    """Matrix [[a, b], [c, d]] with quaternion entries; reals coerce."""
+def _entry_property(start: int) -> property:
+    """The entry whose four parts begin at start, built on each read."""
+    return property(lambda self: _new(*self._p[start:start + 4]))
 
-    __slots__ = ("a", "b", "c", "d")
+
+class Mat2H(Record):
+    """Matrix [[a, b], [c, d]] with quaternion entries; reals coerce.  Its
+    one slot _p holds the 16 parts of a, b, c and d, in that order."""
+
+    __slots__ = ("_p",)
+    _fields = ("a", "b", "c", "d")
+    a, b, c, d = map(_entry_property, (0, 4, 8, 12))
 
     def __init__(self, a, b, c, d):
-        _set_a(self, _entry(a))
-        _set_b(self, _entry(b))
-        _set_c(self, _entry(c))
-        _set_d(self, _entry(d))
+        _set_p(self, _entry_parts(a) + _entry_parts(b) + _entry_parts(c)
+               + _entry_parts(d))
 
     @classmethod
     def identity(cls) -> "Mat2H":
-        return _from_quaternions(ONE, ZERO, ZERO, ONE)
+        return cls.diag(1.0, 1.0)
 
     @classmethod
     def diag(cls, p, q) -> "Mat2H":
-        return _from_quaternions(_entry(p), ZERO, ZERO, _entry(q))
+        return _from_parts(_entry_parts(p) + (0.0,) * 8 + _entry_parts(q))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Mat2H":
         if not isinstance(doc, dict) or set(doc) != {"a", "b", "c", "d"}:
             raise ValueError("matrix document must have exactly the keys a, b, c, d")
-        entries = {}
+        parts = []
         for key in ("a", "b", "c", "d"):
-            parts = doc[key]
-            if not isinstance(parts, list) or len(parts) != 4:
+            entry = doc[key]
+            if not isinstance(entry, list) or len(entry) != 4:
                 raise ValueError(f"entry {key!r} must be a list of four numbers")
-            if not all(is_json_number(p) for p in parts):
+            if not all(is_json_number(v) for v in entry):
                 raise ValueError(
                     f"entry {key!r} has a non-numeric or non-finite part")
-            entries[key] = Quaternion.from_list(parts)
-        return cls(**entries)
+            parts += [float(v) for v in entry]
+        return _from_parts(tuple(parts))
 
     def to_json(self) -> dict:
-        return {"a": self.a.as_list(), "b": self.b.as_list(),
-                "c": self.c.as_list(), "d": self.d.as_list()}
+        p = self._p
+        return {"a": list(p[0:4]), "b": list(p[4:8]),
+                "c": list(p[8:12]), "d": list(p[12:16])}
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic, with the bits of the Quaternion operations ------------
 
     def __add__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
             return NotImplemented
-        return _from_quaternions(self.a + other.a, self.b + other.b,
-                                 self.c + other.c, self.d + other.d)
+        return _from_parts(tuple(map(operator.add, self._p, other._p)))
 
     def __sub__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
             return NotImplemented
-        return _from_quaternions(self.a - other.a, self.b - other.b,
-                                 self.c - other.c, self.d - other.d)
+        return _from_parts(tuple(map(operator.sub, self._p, other._p)))
 
     def __matmul__(self, other: "Mat2H") -> "Mat2H":
         if not isinstance(other, Mat2H):
             return NotImplemented
-        return _from_parts(_matmul(_matrix(self), _matrix(other)))
+        return _from_parts(_matmul(self._p, other._p))
 
     def __rmul__(self, scalar) -> "Mat2H":
         # Scalars multiply from the left; quaternion scalars do not commute
         # with the entries, so there is deliberately no right version.  A
         # real scalar scales each part, so -1.0 * M negates every part,
         # zeros included.
+        p = self._p
         if isinstance(scalar, (int, float)):
             s = float(scalar)
-            return _from_quaternions(self.a * s, self.b * s,
-                                     self.c * s, self.d * s)
+            return _from_parts(tuple([v * s for v in p]))
         if not isinstance(scalar, Quaternion):
             return NotImplemented
-        return _from_quaternions(scalar * self.a, scalar * self.b,
-                                 scalar * self.c, scalar * self.d)
+        s = (scalar.w, scalar.x, scalar.y, scalar.z)
+        return _from_parts(_qmul(s, p[0:4]) + _qmul(s, p[4:8])
+                           + _qmul(s, p[8:12]) + _qmul(s, p[12:16]))
 
     def adjoint(self) -> "Mat2H":
-        return _from_quaternions(self.a.conjugate(), self.c.conjugate(),
-                                 self.b.conjugate(), self.d.conjugate())
+        p = self._p
+        return _from_parts(_conj(p[0:4]) + _conj(p[8:12])
+                           + _conj(p[4:8]) + _conj(p[12:16]))
 
     def tr(self) -> float:
         """Real trace 2*(Re a + Re d); quaternionic traces are only defined
         up to similarity, the real part is what stays invariant."""
-        return 2.0 * (self.a.w + self.d.w)
+        return 2.0 * (self._p[0] + self._p[12])
 
     def frobenius(self) -> float:
-        return math.sqrt(self.a.norm_sq() + self.b.norm_sq()
-                         + self.c.norm_sq() + self.d.norm_sq())
+        return _frobenius(self._p)
 
     # -- complex adjoint --------------------------------------------------
 
@@ -128,19 +135,22 @@ class Mat2H(Record):
         """Block rows (z, v), (-conj(v), conj(z)) of each entry as one array
         of 32 float parts; float() first, so an int 0 negates to -0.0."""
         import numpy as np
-        a, b, c, d = self.a, self.b, self.c, self.d
+        (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = \
+            self._p
         f = float
         return np.array((
-            a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z,
-            -f(a.y), a.z, a.w, -f(a.x), -f(b.y), b.z, b.w, -f(b.x),
-            c.w, c.x, c.y, c.z, d.w, d.x, d.y, d.z,
-            -f(c.y), c.z, c.w, -f(c.x), -f(d.y), d.z, d.w, -f(d.x),
+            a0, a1, a2, a3, b0, b1, b2, b3,
+            -f(a2), a3, a0, -f(a1), -f(b2), b3, b0, -f(b1),
+            c0, c1, c2, c3, d0, d1, d2, d3,
+            -f(c2), c3, c0, -f(c1), -f(d2), d3, d0, -f(d1),
         ), dtype=float).view(complex).reshape(4, 4)
 
     def is_singular(self, tol: float = SINGULAR_TOL) -> bool:
         import numpy as np
         rep = self.chi()
-        norm = np.linalg.norm(rep)
+        # numpy's sum of squares overflows, to inf, from parts of ~1e154
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(rep)
         if not math.isfinite(norm):
             raise NotApplicableError(
                 f"the singularity test needs a finite matrix norm, got {norm}")
@@ -148,26 +158,26 @@ class Mat2H(Record):
         return bool(smallest <= tol * (1.0 + norm))
 
 
-_set_a, _set_b, _set_c, _set_d = Mat2H._slot_setters()
-
-
-def _from_quaternions(a: Quaternion, b: Quaternion,
-                      c: Quaternion, d: Quaternion) -> Mat2H:
-    """Mat2H from entries that are already Quaternions, skipping _entry
-    and the call through type()."""
-    out = object.__new__(Mat2H)
-    _set_a(out, a)
-    _set_b(out, b)
-    _set_c(out, c)
-    _set_d(out, d)
-    return out
+(_set_p,) = Mat2H._slot_setters()
 
 
 def _from_parts(p: tuple) -> Mat2H:
-    """Mat2H from a 16-tuple of parts, the inverse of _matrix."""
-    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = p
-    return _from_quaternions(_new(a0, a1, a2, a3), _new(b0, b1, b2, b3),
-                             _new(c0, c1, c2, c3), _new(d0, d1, d2, d3))
+    """Mat2H holding the 16-tuple of parts p, skipping the coercion of
+    __init__."""
+    out = object.__new__(Mat2H)
+    _set_p(out, p)
+    return out
+
+
+def _frobenius(p: tuple) -> float:
+    """||M||_F on the 16 parts p, summed entry by entry as
+    Quaternion.norm_sq sums each entry."""
+    (aw, ax, ay, az, bw, bx, by, bz,
+     cw, cx, cy, cz, dw, dx, dy, dz) = p
+    return math.sqrt((aw * aw + ax * ax + ay * ay + az * az)
+                     + (bw * bw + bx * bx + by * by + bz * bz)
+                     + (cw * cw + cx * cx + cy * cy + cz * cz)
+                     + (dw * dw + dx * dx + dy * dy + dz * dz))
 
 
 def _matmul(m: tuple, n: tuple) -> tuple:
@@ -195,9 +205,3 @@ def _matmul(m: tuple, n: tuple) -> tuple:
         (c0*f3 + c1*f2 - c2*f1 + c3*f0) + (d0*h3 + d1*h2 - d2*h1 + d3*h0),
     )
 
-
-def _matrix(m: Mat2H) -> tuple:
-    """The 16 parts of a, b, c and d, the form _matmul reads."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    return (a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z,
-            c.w, c.x, c.y, c.z, d.w, d.x, d.y, d.z)

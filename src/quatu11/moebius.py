@@ -20,7 +20,7 @@ from enum import Enum
 
 from .errors import BallViolationError, MembershipError, PoleError
 from .group import GroupElement, _set_derived
-from .mat2h import Mat2H, _matrix
+from .mat2h import Mat2H, _frobenius
 from .quaternion import Quaternion, _new, _qmul
 
 EPS_CLASS = 1e-10
@@ -59,7 +59,7 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
     tuples with the bits of the Quaternion route; NaN fails each gate."""
     if not z.norm() < 1.0:
         raise ValueError("the Moebius action is defined on the open unit ball")
-    p, zp = _matrix(t.m), (z.w, z.x, z.y, z.z)
+    p, zp = t.m._p, (z.w, z.x, z.y, z.z)
     w, x, y, s = _qmul(p[8:12], zp)
     w, x, y, s = w + p[12], x + p[13], y + p[14], s + p[15]
     n2 = w * w + x * x + y * y + s * s
@@ -75,15 +75,9 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
 
 
 def _entry_eps(p: tuple) -> float:
-    """EPS_CLASS * (1 + ||M||_F) on the 16 parts p, the norm summed as
-    Mat2H.frobenius sums it: inf or NaN exactly when the norm is."""
-    (aw, ax, ay, az, bw, bx, by, bz,
-     cw, cx, cy, cz, dw, dx, dy, dz) = p
-    return EPS_CLASS * (1.0 + math.sqrt(
-        (aw * aw + ax * ax + ay * ay + az * az)
-        + (bw * bw + bx * bx + by * by + bz * bz)
-        + (cw * cw + cx * cx + cy * cy + cz * cz)
-        + (dw * dw + dx * dx + dy * dy + dz * dz)))
+    """EPS_CLASS * (1 + ||M||_F) on the 16 parts p: inf or NaN exactly
+    when the norm is."""
+    return EPS_CLASS * (1.0 + _frobenius(p))
 
 
 def _gap_delta(p: tuple) -> tuple[float, float]:
@@ -95,7 +89,7 @@ def _gap_delta(p: tuple) -> tuple[float, float]:
 
 
 def delta(m: Mat2H) -> float:
-    return _gap_delta(_matrix(m))[1]
+    return _gap_delta(m._p)[1]
 
 
 def _derive(p: tuple) -> tuple:
@@ -129,7 +123,7 @@ def _derived(t: GroupElement) -> tuple:
     """_derive of T, formed on first use and kept on t for every reader."""
     record = t._derived
     if record is None:
-        record = _derive(_matrix(t.m))
+        record = _derive(t.m._p)
         _set_derived(t, record)
     return record
 
@@ -155,6 +149,7 @@ def is_elliptic(t: GroupElement) -> bool:
 def evidence(t: GroupElement) -> dict:
     """The quantities the classification actually read."""
     gap, dlt, nb, nc, _pair = _derived(t)
-    return {"a0": t.m.a.w, "d0": t.m.d.w,
+    p = t.m._p
+    return {"a0": p[0], "d0": p[12],
             "b_minus_conj_c_norm": math.sqrt(gap), "b_norm": nb,
             "c_norm": nc, "delta": dlt}

@@ -32,15 +32,16 @@ __all__ = [
 class Record:
     """Immutable value compared, hashed, shown and pickled by its fields.
 
-    The fields are the subclass's __slots__ except those whose names start
-    with "_", which hold caches.  Assignment is blocked, so each subclass's
-    __init__ sets its slots through the setters `_slot_setters()` returns.
+    The fields are the subclass's own _fields, else its __slots__ less those
+    starting with "_", which hold caches.  Assignment is blocked, so each
+    subclass's __init__ sets its slots through `_slot_setters()`.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(n for n in cls.__slots__ if n[0] != "_")
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(n for n in cls.__slots__ if n[0] != "_")
 
     @classmethod
     def _slot_setters(cls) -> tuple:

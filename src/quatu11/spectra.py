@@ -22,10 +22,10 @@ import math
 from .errors import (NegativeRadicandError, NoRootFoundError,
                      NotApplicableError)
 from .group import GroupElement, _unit_vectors
-from .mat2h import Mat2H, _matrix
+from .mat2h import Mat2H
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
                       _entry_eps, stratum)
-from .quaternion import Quaternion, Record, _qmul
+from .quaternion import Quaternion, Record, _new, _qmul
 
 SPECTRUM_TOL = 1e-7
 COLLAPSE_TOL = 1e-10
@@ -161,7 +161,7 @@ def _sphere_pairs(trace_half: float, dlt: float):
 def right_spectrum(t: GroupElement) -> RightSpectrum:
     """Spectral spheres from the unified trace/delta formula."""
     return RightSpectrum.from_pairs(
-        _sphere_pairs(t.m.a.w + t.m.d.w, _derived(t)[1]))
+        _sphere_pairs(t.m._p[0] + t.m._p[12], _derived(t)[1]))
 
 
 def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
@@ -172,11 +172,11 @@ def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
     part of conj(c)^-1 b conj(d) + d rather than a0 + d0.
     """
     case, cls = stratum(t)
-    m = t.m
+    p = t.m._p
+    d0 = p[12]
     if case is DiagonalizationCase.CASE1:
-        return RightSpectrum.from_pairs([(m.a.w, 1.0), (m.d.w, 1.0)])
+        return RightSpectrum.from_pairs([(p[0], 1.0), (d0, 1.0)])
     if case is DiagonalizationCase.CASE2:
-        d0 = m.d.w
         if cls is MoebiusClass.SIMPLE_PARABOLIC:
             return RightSpectrum.from_pairs([(d0, abs(d0))])
         if cls is MoebiusClass.SIMPLE_LOXODROMIC:
@@ -185,10 +185,10 @@ def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
                 [(d0 + root, abs(d0 + root)), (d0 - root, abs(d0 - root))])
         return RightSpectrum.from_pairs([(d0, 1.0)])
     # Re(conj(c)^-1 b conj(d) + d) with the bits of the Quaternion route
-    c, d, n2 = m.c, m.d, m.c.norm_sq()
-    l0, l1, l2, l3 = _qmul((c.w / n2, c.x / n2, c.y / n2, c.z / n2),
-                           (m.b.w, m.b.x, m.b.y, m.b.z))
-    trace_half = (l0 * d.w + l1 * d.x + l2 * d.y + l3 * d.z) + d.w
+    c0, c1, c2, c3 = p[8:12]
+    n2 = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+    l0, l1, l2, l3 = _qmul((c0 / n2, c1 / n2, c2 / n2, c3 / n2), p[4:8])
+    trace_half = (l0 * d0 + l1 * p[13] + l2 * p[14] + l3 * p[15]) + d0
     if cls is MoebiusClass.COMPOUND_PARABOLIC:
         return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
     dlt = _derived(t)[1]
@@ -215,15 +215,19 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
     """
     import numpy as np
     try:
-        eigenvalues = np.linalg.eigvals(m.chi()).tolist()
+        projections = sorted([(e.real, abs(e)) for e in
+                              np.linalg.eigvals(m.chi()).tolist()])
     except np.linalg.LinAlgError:
-        eps = _entry_eps(_matrix(m))
+        eps = _entry_eps(m._p)
         if math.isfinite(eps):
             raise
         raise NotApplicableError(
             f"the oracle needs a finite matrix norm, got {eps}") from None
+    except OverflowError:  # abs of an eigenvalue past the largest float
+        raise NotApplicableError(
+            "the oracle needs a finite matrix norm, got inf") from None
     pairs, n = [], 0
-    for re, mod in sorted((e.real, abs(e)) for e in eigenvalues):
+    for re, mod in projections:
         if n and abs(re - re_sum / n) <= 1e-8 * (1.0 + abs(re)) \
                 and abs(mod - mod_sum / n) <= 1e-8 * (1.0 + mod):
             re_sum, mod_sum, n = re_sum + re, mod_sum + mod, n + 1
@@ -469,7 +473,7 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     the bits of that route while Quaternions are built only for the emitted
     points and a sphere family.
     """
-    p = _matrix(m)
+    p = m._p
     (aw, ax, ay, az, bw, bx, by, bz,
      cw, cx, cy, cz, dw, dx, dy, dz) = p
     eps = _entry_eps(p)
@@ -479,9 +483,9 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     nb = bw * bw + bx * bx + by * by + bz * bz
     ew, ex, ey, ez = aw - dw, ax - dx, ay - dy, az - dz
     if math.sqrt(nb) <= eps:
-        points = [m.a]
+        points = [_new(aw, ax, ay, az)]
         if math.sqrt(ew * ew + ex * ex + ey * ey + ez * ez) > eps:
-            points.append(m.d)
+            points.append(_new(dw, dx, dy, dz))
         points.sort(key=lambda p: (p.w, p.x, p.y, p.z))
         return LeftSpectrumDescription(tuple(points), ())
 

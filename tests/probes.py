@@ -103,6 +103,25 @@ def non_finite_matrices() -> list:
     return rows
 
 
+def huge_finite_matrices() -> list:
+    """Finite matrices whose norm overflows: the worked example with one
+    part of a, b or d set to +-1e154, +-1e200, +-1e300 or +-1.5e308, and
+    a = d = 1.5e308, b = c = 1.5e308 i; no random draws."""
+    m = worked_example().m
+    parts = [v for q in (m.a, m.b, m.c, m.d) for v in q.as_list()]
+    rows = []
+    for value in (1e154, 1e200, 1e300, 1.5e308):
+        for sign in (1.0, -1.0):
+            for k in (0, 5, 15):
+                row = list(parts)
+                row[k] = sign * value
+                rows.append(parts_matrix(row))
+    big = 1.5e308
+    rows.append(Mat2H(Quaternion(big), Quaternion(0.0, big),
+                      Quaternion(0.0, big), Quaternion(big)))
+    return rows
+
+
 # -- sampled members --------------------------------------------------------
 
 

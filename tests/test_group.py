@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quatu11.group
 import quatu11.mat2h
 import quatu11.moebius
 from quatu11 import (J, Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
@@ -17,7 +18,7 @@ from quatu11.errors import (HintExhaustedError, MembershipDriftError,
 from quatu11.group import (MEMBERSHIP_TOL, GroupElement, _boost,
                            _boost_parameter, _candidate, _j_adjoint,
                            _sandwich, _unit_vectors)
-from quatu11.mat2h import _from_parts, _matrix
+from quatu11.mat2h import _from_parts
 from quatu11.moebius import classify
 from quatu11.quaternion import _conj
 from quatu11.spectra import SpectralSphere, SphereFamily
@@ -445,7 +446,7 @@ def unit_quaternions(draw):
 middles = st.one_of(
     st.floats(min_value=0.0, max_value=2.25).map(_boost),
     st.builds(_parabolic, st.floats(min_value=-4.0, max_value=4.0),
-              st.sampled_from([-1.0, 1.0])).map(_matrix))
+              st.sampled_from([-1.0, 1.0])).map(lambda m: m._p))
 
 
 @settings(deadline=None)
@@ -480,12 +481,13 @@ def test_sampler_and_conjugate_build_no_quaternion_arithmetic(
 
             monkeypatch.setattr(cls, name, counting)
 
-    # every Mat2H comes from Mat2H.__init__ or mat2h._from_quaternions
+    # every Mat2H comes from Mat2H.__init__ or mat2h._from_parts, which
+    # group imports by name
     def init(*args, _init=Mat2H.__init__):
         built["Mat2H"] += 1
         return _init(*args)
 
-    def from_quaternions(*args, _build=quatu11.mat2h._from_quaternions):
+    def from_parts(*args, _build=quatu11.mat2h._from_parts):
         built["Mat2H"] += 1
         return _build(*args)
 
@@ -494,7 +496,8 @@ def test_sampler_and_conjugate_build_no_quaternion_arithmetic(
         return _classify(t)
 
     monkeypatch.setattr(Mat2H, "__init__", init)
-    monkeypatch.setattr(quatu11.mat2h, "_from_quaternions", from_quaternions)
+    monkeypatch.setattr(quatu11.mat2h, "_from_parts", from_parts)
+    monkeypatch.setattr(quatu11.group, "_from_parts", from_parts)
     monkeypatch.setattr(quatu11.moebius, "classify", counted_classify)
     for hint in [None] + [c.value for c in MoebiusClass]:
         for k in range(20):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from quatu11 import Mat2H, QI, QJ, QK, Quaternion
 from quatu11.errors import NotApplicableError
 
-from probes import (R2, hex_parts, non_finite_matrices, parts_matrix,
-                    quaternion_matmul)
+from probes import (R2, hex_parts, huge_finite_matrices, non_finite_matrices,
+                    parts_matrix, quaternion_matmul)
 
 
 def _random_matrix(rng) -> Mat2H:
@@ -191,6 +191,15 @@ def test_is_singular_rejects_a_non_finite_matrix(m, shown, capfd):
     # stderr; a NaN part raised numpy's LinAlgError from the SVD
     with pytest.raises(NotApplicableError,
                        match=f"needs a finite matrix norm, got {shown}$"):
+        m.is_singular()
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("m", huge_finite_matrices())
+def test_is_singular_rejects_a_huge_finite_matrix(m, capfd):
+    # numpy's norm overflows from about 1e154 and used to warn first
+    with pytest.raises(NotApplicableError,
+                       match="needs a finite matrix norm, got inf$"):
         m.is_singular()
     assert capfd.readouterr() == ("", "")
 

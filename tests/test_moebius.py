@@ -11,7 +11,6 @@ from quatu11 import (Mat2H, MoebiusClass, QI, QJ, Quaternion, conjugate,
                      right_spectrum_casewise, validate)
 from quatu11.errors import BallViolationError, MembershipError
 from quatu11.group import GroupElement
-from quatu11.mat2h import _matrix
 from quatu11.moebius import _derive, apply, classify, delta, evidence
 
 from probes import R2, gaussian_scales, parts_matrix, rotor, same_bits
@@ -98,7 +97,7 @@ def test_delta_matches_the_quaternion_route_bit_for_bit(class_pool):
     for m in _delta_samples(class_pool):
         assert delta(m).hex() == _delta_by_quaternions(m).hex(), m
         # the stratum record: |b - conj(c)|^2, delta, |b|, |c|
-        got = _derive(_matrix(m))[:4]
+        got = _derive(m._p)[:4]
         want = ((m.b - m.c.conjugate()).norm_sq(), _delta_by_quaternions(m),
                 m.b.norm(), m.c.norm())
         assert same_bits(got, want), m

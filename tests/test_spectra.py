@@ -21,8 +21,8 @@ from quatu11.moebius import EPS_CLASS, delta
 from quatu11.spectra import _clamped_sqrt
 
 from probes import (BAND_SINH, R2, band_python_norm, dyadic_signed_zero,
-                    gaussian_scales, non_finite_matrices, parts_matrix, rotor,
-                    same_bits)
+                    gaussian_scales, huge_finite_matrices, non_finite_matrices,
+                    parts_matrix, rotor, same_bits)
 
 ROTOR = rotor()
 
@@ -183,6 +183,16 @@ def test_oracle_rejects_a_non_finite_matrix(m, shown):
     with pytest.raises(NotApplicableError,
                        match=f"needs a finite matrix norm, got {shown}$"):
         right_spectrum_oracle(m)
+
+
+@pytest.mark.parametrize("m", huge_finite_matrices())
+def test_oracle_answers_or_refuses_a_huge_finite_matrix(m, capfd):
+    # abs() of an eigenvalue near 1.5e308 used to raise a bare OverflowError
+    try:
+        assert isinstance(right_spectrum_oracle(m), RightSpectrum)
+    except NotApplicableError as exc:
+        assert str(exc) == "the oracle needs a finite matrix norm, got inf"
+    assert capfd.readouterr() == ("", "")
 
 
 def test_verify_s_point_accepts_and_rejects(example):
