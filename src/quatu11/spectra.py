@@ -214,18 +214,23 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
     of the closed-form machinery above.
     """
     import numpy as np
+    if not all(map(math.isfinite, m._p)):
+        raise NotApplicableError(
+            f"the oracle needs a finite matrix norm, got {_entry_eps(m._p)}")
+
+    def not_converged(err, flag):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # LAPACK's eigvals gufunc under np.linalg.eigvals' error state; the
+    # wrapper's other checks hold for any chi, a finite 4x4 complex128.
+    with np.errstate(call=not_converged, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        eigenvalues = np.linalg._umath_linalg.eigvals(m.chi(),
+                                                      signature="D->D")
     try:
-        projections = sorted([(e.real, abs(e)) for e in
-                              np.linalg.eigvals(m.chi()).tolist()])
-    except np.linalg.LinAlgError:
-        eps = _entry_eps(m._p)
-        if math.isfinite(eps):
-            raise
-        raise NotApplicableError(
-            f"the oracle needs a finite matrix norm, got {eps}") from None
-    except OverflowError:  # abs of an eigenvalue past the largest float
-        raise NotApplicableError(
-            "the oracle needs a finite matrix norm, got inf") from None
+        projections = sorted([(e.real, abs(e)) for e in eigenvalues.tolist()])
+    except OverflowError:  # |e| past the largest float: refused below
+        projections = [(math.inf, math.inf)]
     pairs, n = [], 0
     for re, mod in projections:
         if n and abs(re - re_sum / n) <= 1e-8 * (1.0 + abs(re)) \
@@ -236,6 +241,10 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
             pairs.append((re_sum / n, mod_sum / n))
         re_sum, mod_sum, n = re, mod, 1
     pairs.append((re_sum / n, mod_sum / n))
+    if not all([math.isfinite(re) and math.isfinite(mod) for re, mod in pairs]):
+        # an eigenvalue, or a cluster's running sum, past the largest float
+        raise NotApplicableError(
+            "the oracle needs a finite matrix norm, got inf")
     return RightSpectrum.from_pairs(pairs)
 
 

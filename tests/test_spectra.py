@@ -4,6 +4,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,18 +169,72 @@ def test_casewise_keeps_the_bits_of_the_quaternion_route(
                                      MoebiusClass.COMPOUND_LOXODROMIC)) >= 20
 
 
+def _oracle_eigenvalues(m) -> list:
+    """What LAPACK's eigvals gufunc returns, or the type of what it raises,
+    on each of its calls inside right_spectrum_oracle(m); a call to numpy's
+    wrapper, np.linalg.eigvals, fails the test."""
+    gufunc, seen = np.linalg._umath_linalg.eigvals, []
+
+    def recording(rep, signature):
+        try:
+            seen.append(gufunc(rep, signature=signature))
+        except Exception as exc:
+            seen.append(type(exc))
+            raise
+        return seen[-1]
+
+    wrapper = mock.Mock(side_effect=AssertionError("np.linalg.eigvals"))
+    with mock.patch.object(np.linalg._umath_linalg, "eigvals", recording), \
+            mock.patch.object(np.linalg, "eigvals", wrapper):
+        try:
+            right_spectrum_oracle(m)
+        except (QuatU11Error, np.linalg.LinAlgError):
+            pass
+    return seen
+
+
 def test_oracle_reads_the_eigenvalues_with_the_bits_of_float(
-        class_pool, signed_zero_inputs, example):
-    for t in _bit_pool(class_pool, signed_zero_inputs, example):
-        eigenvalues = np.linalg.eigvals(t.m.chi())
+        class_pool, generic_pool, signed_zero_inputs, example):
+    # The oracle calls the gufunc behind np.linalg.eigvals without the
+    # wrapper; its eigenvalues, or the exception it raises, must be the
+    # wrapper's, bit for bit.
+    ms = [t.m for t in _bit_pool(class_pool, signed_zero_inputs, example)]
+    ms += [t.m for t in generic_pool]
+    for m in ms + huge_finite_matrices():
+        [eigenvalues] = _oracle_eigenvalues(m)
+        try:
+            want = np.linalg.eigvals(m.chi())
+        except Exception as exc:
+            assert eigenvalues is type(exc), m
+            continue
+        assert same_bits(eigenvalues.real, want.real), m
+        assert same_bits(eigenvalues.imag, want.imag), m
+    # The projections: Python's e.real and abs(e) against numpy's.
+    for m in ms:
+        eigenvalues = np.linalg.eigvals(m.chi())
         got = [v for e in eigenvalues.tolist() for v in (e.real, abs(e))]
         want = [v for e in eigenvalues for v in (float(e.real), float(abs(e)))]
-        assert same_bits(got, want), t
+        assert same_bits(got, want), m
+
+
+def test_oracle_raises_numpys_error_when_lapack_does_not_converge(
+        example, capfd):
+    # The invalid flag raised inside the gufunc call is how numpy's wrapper
+    # learns that zgeev did not converge.
+    def not_converging(rep, signature):
+        return np.full(4, np.float64(0.0) / np.float64(0.0), dtype=complex)
+
+    with mock.patch.object(np.linalg._umath_linalg, "eigvals",
+                           not_converging):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^Eigenvalues did not converge$"):
+            right_spectrum_oracle(example.m)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("m,shown", non_finite_matrices())
 def test_oracle_rejects_a_non_finite_matrix(m, shown):
-    # numpy's eigvals used to raise LinAlgError here
+    # refused on the 16 parts, before numpy sees the matrix
     with pytest.raises(NotApplicableError,
                        match=f"needs a finite matrix norm, got {shown}$"):
         right_spectrum_oracle(m)
@@ -187,9 +242,12 @@ def test_oracle_rejects_a_non_finite_matrix(m, shown):
 
 @pytest.mark.parametrize("m", huge_finite_matrices())
 def test_oracle_answers_or_refuses_a_huge_finite_matrix(m, capfd):
-    # abs() of an eigenvalue near 1.5e308 used to raise a bare OverflowError
+    # abs() of an eigenvalue near 1.5e308 used to raise a bare OverflowError,
+    # and a cluster's running sum to overflow into an infinite sphere
     try:
-        assert isinstance(right_spectrum_oracle(m), RightSpectrum)
+        spectrum = right_spectrum_oracle(m)
+        assert isinstance(spectrum, RightSpectrum)
+        assert all(map(math.isfinite, _sphere_parts(spectrum))), spectrum
     except NotApplicableError as exc:
         assert str(exc) == "the oracle needs a finite matrix norm, got inf"
     assert capfd.readouterr() == ("", "")

@@ -118,7 +118,8 @@ def _fixed_eigenvalues(pool) -> list:
 def digest_sections() -> dict:
     pool = element_pool()
     fixed = iter(_fixed_eigenvalues(pool))
-    with mock.patch.object(np.linalg, "eigvals", lambda _rep: next(fixed)):
+    with mock.patch.object(np.linalg._umath_linalg, "eigvals",
+                           lambda _rep, signature: next(fixed)):
         oracle = [_spectrum_row(right_spectrum_oracle, t.m) for t in pool]
     rows = {
         "from_pairs": [_spectrum_row(RightSpectrum.from_pairs, pairs, **kw)
