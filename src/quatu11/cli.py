@@ -20,7 +20,7 @@ from .errors import NotApplicableError, QuatU11Error
 from .group import (GroupElement, MEMBERSHIP_TOL, membership_residual,
                     random_element, validate)
 from .invariants import SINGLE_ELEMENT_CHECKS, IDENTITY_CHECKS, report
-from .mat2h import Mat2H, is_json_number
+from .mat2h import Mat2H, is_finite_real
 from .moebius import MoebiusClass, apply, classify, evidence
 from .quaternion import Quaternion
 from .spectra import (SPECTRUM_TOL, left_eigenvalues, right_spectrum,
@@ -46,7 +46,7 @@ def _load_matrix(path: str) -> Mat2H:
 def _quaternion_arg(text: str) -> Quaternion:
     parts = json.loads(text)
     if not isinstance(parts, list) or len(parts) != 4 \
-            or not all(is_json_number(p) for p in parts):
+            or not all(map(is_finite_real, parts)):
         raise ValueError("--point expects a JSON list of four finite numbers")
     return Quaternion.from_list(parts)
 

@@ -13,7 +13,8 @@ also has a closed form in the traces of powers,
 which makes it conjugation invariant, and an older expression through the
 entries (delta_legacy) that is only defined when b != conj(c) != 0.  The
 identity checks exported at the bottom exercise all of these plus the
-power rules for delta(T^2), delta(T^3), delta(T^6).
+power rules for delta(T^2), delta(T^3), delta(T^6) on the matrix powers;
+`report` reads Tr T^3, Tr T^4 and Tr T^6 off (Tr T, Tr T^2) instead.
 """
 
 from __future__ import annotations
@@ -61,10 +62,23 @@ def delta_legacy(t: GroupElement) -> float:
     return legacy
 
 
+def _newton_traces(s1, p2) -> tuple:
+    """(Tr T^3, Tr T^4, Tr T^6) from s1 = Tr T and p2 = Tr T^2 by Newton's
+    identities.  Assumes T is in the group, where chi(T) has the real
+    characteristic polynomial x^4 - s1 x^3 + s2 x^2 - s1 x + 1 (Parker and
+    Short, CMFT 9, 2009).  Fraction arguments give exact traces."""
+    s2 = (s1 * s1 - p2) / 2
+    p3 = s1 * p2 - s2 * s1 + 3 * s1
+    p4 = s1 * p3 - s2 * p2 + s1 * s1 - 4
+    p5 = s1 * p4 - s2 * p3 + s1 * p2 - s1
+    return p3, p4, s1 * p5 - s2 * p4 + s1 * p3 - p2
+
+
 def _power_values(t: GroupElement) -> tuple:
     """(tr T, tr T^2, tr T^3, tr T^4, tr T^6, delta(T), delta(T^2),
     delta(T^3), delta(T^6)) with the bits of the Mat2H powers, formed on
-    first use from the part tuples of T^2, T^3, T^4 and T^6 = T^4 T^2."""
+    first use from the part tuples of T^2, T^3, T^4 and T^6 = T^4 T^2, for
+    the identity checks; `report` reads `_newton_traces` instead."""
     values = t._powers
     if values is None:
         p = t.m._p
@@ -110,7 +124,10 @@ class InvariantReport(Record):
 
 
 def report(t: GroupElement) -> InvariantReport:
-    return InvariantReport(*_power_values(t)[:6], _delta_legacy(t))
+    p2 = _matmul(t.m._p, t.m._p)
+    tr1, tr2 = t.m.tr(), 2.0 * (p2[0] + p2[12])
+    return InvariantReport(tr1, tr2, *_newton_traces(tr1, tr2),
+                           _derived(t)[1], _delta_legacy(t))
 
 
 # -- identity checks -------------------------------------------------------

@@ -25,10 +25,12 @@ SINGULAR_TOL = 1e-12
 __all__ = ["Mat2H", "SINGULAR_TOL"]
 
 
-def is_json_number(value) -> bool:
-    """A finite int or float that is not a bool: a JSON number part."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, that is finite as a float."""
+    try:
+        return math.isfinite(value) and value.__class__ is not bool
+    except (OverflowError, TypeError):
+        return False
 
 
 def _entry_parts(value) -> tuple:
@@ -73,7 +75,7 @@ class Mat2H(Record):
             entry = doc[key]
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ValueError(f"entry {key!r} must be a list of four numbers")
-            if not all(is_json_number(v) for v in entry):
+            if not all(map(is_finite_real, entry)):
                 raise ValueError(
                     f"entry {key!r} has a non-numeric or non-finite part")
             parts += [float(v) for v in entry]

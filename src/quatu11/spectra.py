@@ -22,7 +22,7 @@ import math
 from .errors import (NegativeRadicandError, NoRootFoundError,
                      NotApplicableError)
 from .group import GroupElement, _unit_vectors
-from .mat2h import Mat2H
+from .mat2h import Mat2H, is_finite_real
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
                       _entry_eps, stratum)
 from .quaternion import Quaternion, Record, _new, _qmul
@@ -214,9 +214,10 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
     of the closed-form machinery above.
     """
     import numpy as np
-    if not all(map(math.isfinite, m._p)):
+    if not all(map(is_finite_real, m._p)):
+        norm = "nan" if any(v != v for v in m._p) else "inf"  # in floats
         raise NotApplicableError(
-            f"the oracle needs a finite matrix norm, got {_entry_eps(m._p)}")
+            f"the oracle needs a finite matrix norm, got {norm}")
 
     def not_converged(err, flag):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -88,6 +88,28 @@ def rotor():
     return validate(Mat2H(Quaternion(R2), QI, -QI, Quaternion(R2)))
 
 
+# A CompoundParabolic element, as float.hex parts of a, b, c and d, that a
+# random-restart hill climb found over the 16 normals of the sampler's
+# CompoundParabolic construction (same ratio window 0.05-0.95 and kappa1 >
+# 1e-3 floor).  It validates at residual 4.9e-15, and its three
+# right-spectrum routes differ by up to 1.13e-7, past SPECTRUM_TOL.
+SEARCHED_COMPOUND_PARABOLIC = (
+    "0x1.7d2982c8c5f3dp+1", "-0x1.2bdf9b2005947p-2",
+    "0x1.02c85443de27cp-2", "0x1.de152672a9f00p-7",
+    "0x1.8622428a1fb3ap+0", "-0x1.d920b0ef1e382p+0",
+    "-0x1.8234be3bf446fp+0", "0x1.d2c1a77603f18p-5",
+    "-0x1.682c6602ea12dp-1", "-0x1.c9600bc717d0ep+0",
+    "-0x1.c72104191fbfbp+0", "0x1.14de73aa27d81p+0",
+    "-0x1.431231a7a175ep+1", "0x1.cd45e3fed8a54p-3",
+    "-0x1.78c25549c90e6p+0", "0x1.4fc6b17916ca1p-1",
+)
+
+
+def searched_compound_parabolic() -> Mat2H:
+    """The matrix of SEARCHED_COMPOUND_PARABOLIC; no random draws."""
+    return parts_matrix(map(float.fromhex, SEARCHED_COMPOUND_PARABOLIC))
+
+
 def non_finite_matrices() -> list:
     """(matrix, norm as printed) rows: the worked example with one part of
     a, b or d set to inf, -inf or NaN; no random draws."""

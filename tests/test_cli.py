@@ -159,6 +159,18 @@ def test_boolean_component_is_not_a_number():
     assert proc.stderr.startswith("error:")
 
 
+def test_integer_part_past_the_float_range_is_refused():
+    # refused as a float literal past the range (parsed as inf) is, not
+    # with the OverflowError of converting the int
+    doc = {"a": [10 ** 400, 0, 0, 0], "b": [0] * 4, "c": [0] * 4,
+           "d": [1, 0, 0, 0]}
+    proc = run_cli("validate", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == \
+        "error: entry 'a' has a non-numeric or non-finite part\n"
+
+
 NON_MEMBER = {"a": [1, 0, 0, 0], "b": [1, 0, 0, 0], "c": [0] * 4,
               "d": [1, 0, 0, 0]}
 

@@ -26,8 +26,10 @@ from pathlib import Path
 
 import pytest
 
+from quatu11 import Mat2H, Quaternion
 from quatu11.cli import main
 from quatu11.group import random_element
+from quatu11.spectra import SPECTRUM_TOL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
@@ -81,6 +83,31 @@ def test_class_matrices_are_the_sampler_output(matrix):
                          ids=[f"{c}-{m}" for c, m in CASES])
 def test_cli_output_is_byte_identical(expected, command, matrix):
     assert _run(command, matrix) == expected[f"{command} {matrix}"]
+
+
+@pytest.mark.parametrize("matrix", MATRICES)
+def test_left_spectrum_points_make_the_matrix_singular(matrix):
+    # The left spectrum's last bits follow the platform's libm (acos, cosh),
+    # so it is held to a shape rather than to bytes: something is printed,
+    # and each point makes M - lambda I singular.
+    path = GOLDEN / f"{matrix}.json"
+    got = _main(["spectrum", "--kind", "left", str(path)])
+    assert got["exit"] == 0
+    doc = json.loads(got["stdout"])
+    m = Mat2H.from_json(json.loads(path.read_text(encoding="utf-8")))
+    lams = [Quaternion.from_list(p) for p in doc.get("points", [])]
+    assert lams or doc.get("families")
+    assert all((m - Mat2H.diag(lam, lam)).is_singular(SPECTRUM_TOL)
+               for lam in lams)
+
+
+@pytest.mark.parametrize("matrix", MATRICES)
+def test_oracle_agrees_with_the_closed_forms(matrix):
+    # The oracle's eigenvalues come from LAPACK, so its output is not
+    # byte-pinned either: it must agree with the closed forms.
+    got = _main(["spectrum", "--oracle", str(GOLDEN / f"{matrix}.json")])
+    assert got["exit"] == 0
+    assert json.loads(got["stdout"])["agrees"] is True
 
 
 def test_check_identities_output_is_byte_identical():

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,9 +13,10 @@ from quatu11 import (GroupElement, Mat2H, QI, QJ, Quaternion, conjugate, delta,
                      random_element, report, validate)
 from quatu11.errors import NotApplicableError
 from quatu11.invariants import (IDENTITY_CHECKS, SINGLE_ELEMENT_CHECKS,
-                                _power_values)
+                                _newton_traces, _power_values)
 
-from probes import dyadic_signed_zero, gaussian_scales, parts_matrix, rotor
+from probes import (CLASS_NAMES, dyadic_signed_zero, gaussian_scales,
+                    parts_matrix, rotor)
 
 
 def test_delta_golden_values(example):
@@ -143,27 +145,114 @@ def test_report_and_checks_form_the_chain_without_objects(monkeypatch,
     assert legacy_arithmetic  # the counters see delta_legacy's arithmetic
 
 
-def test_identity_checks_form_each_product_once(monkeypatch):
-    t = random_element([61, 0])
-    g = random_element([61, 1])
-    products = 0
+@pytest.fixture
+def products(monkeypatch) -> Counter:
+    """Counts calls of the one matrix product, under the names Mat2H @,
+    report, the power chain, validate and conjugate call it by."""
+    count = Counter()
     matmul = quatu11.mat2h._matmul
 
     def counted(m, n):
-        nonlocal products
-        products += 1
+        count["_matmul"] += 1
         return matmul(m, n)
 
-    # the one matrix product, under the names Mat2H @, the power chain and
-    # conjugate call it by
     for module in (quatu11.mat2h, quatu11.invariants, quatu11.group):
         monkeypatch.setattr(module, "_matmul", counted)
+    return count
+
+
+def test_identity_checks_form_each_product_once(products):
+    t = random_element([61, 0])
+    g = random_element([61, 1])
+    products.clear()
     for check in IDENTITY_CHECKS:
         check.fn(t, g)
     # four for T^2, T^3, T^4, T^6, two for the one conjugation G T G^-1,
     # which delta_similarity and trace_similarity share, and one for the
     # Gram term G T G^-1* J G T G^-1 of its membership residual
-    assert products == 7
+    assert products["_matmul"] == 7
+
+
+def test_report_forms_one_product(products):
+    m = random_element([61, 0]).m
+    products.clear()
+    t = validate(m)
+    assert products["_matmul"] == 1  # the Gram term of the residual
+    report(t)
+    assert products["_matmul"] == 2  # T^2; the other traces by recurrence
+    assert t._powers is None
+
+
+# -- the trace algebra ------------------------------------------------------
+#
+# For T in the group, chi(T) has the real palindromic characteristic
+# polynomial x^4 - s1 x^3 + s2 x^2 - s1 x + 1 with s1 = Tr T and s2 =
+# (s1^2 - Tr T^2) / 2 (Parker and Short, CMFT 9, 2009), so Newton's
+# identities give every Tr T^k from (Tr T, Tr T^2).  This lemma is what
+# _newton_traces encodes; the tests below prove the paper's power rules from
+# it and check it against exact traces of matrix powers.
+
+
+def _delta_of(pk, p2k):
+    """delta(T^k) from Tr T^k and Tr T^2k."""
+    return pk * pk / 4 - p2k / 2 - 2
+
+
+def test_delta_power_rules_are_polynomial_identities():
+    """Under the lemma, each side of the four power rules is a polynomial of
+    degree at most 12 in each of s1 and p2 = Tr T^2.  Two such polynomials
+    that agree on a 13 x 13 grid of distinct points are equal, so exact
+    equality on the 15 x 15 grid below proves each rule."""
+    grid = [Fraction(n, 3) for n in range(-7, 8)]
+    for s1 in grid:
+        for p2 in grid:
+            p3, p4, p6 = _newton_traces(s1, p2)
+            # T^2 and T^3 are in the group too: their own traces agree, and
+            # give Tr T^8, Tr T^12 and Tr T^9
+            p6_sq, _p8, p12 = _newton_traces(p2, p4)
+            _p9, p12_cube, _p18 = _newton_traces(p3, p6)
+            assert (p6_sq, p12_cube) == (p6, p12)
+            d = _delta_of(s1, p2)
+            cube_factor = s1 * s1 / 2 + p2 / 2 - 1
+            d6 = _delta_of(p6, p12)
+            assert _delta_of(p2, p4) == s1 * s1 * d, (s1, p2)
+            assert _delta_of(p3, p6) == cube_factor ** 2 * d, (s1, p2)
+            assert d6 == (p2 * p2 / 2 + p4 / 2 - 1) ** 2 * s1 * s1 * d, \
+                (s1, p2)
+            assert d6 == cube_factor ** 2 * p3 * p3 * d, (s1, p2)
+
+
+def _exact_power_traces(m: Mat2H) -> tuple:
+    """Tr T^3, Tr T^4, Tr T^6 of the float parts of m, in exact rationals."""
+    p = tuple(map(Fraction, m._p))
+    p2 = quatu11.mat2h._matmul(p, p)
+    p3 = quatu11.mat2h._matmul(p2, p)
+    p4 = quatu11.mat2h._matmul(p3, p)
+    p6 = quatu11.mat2h._matmul(p4, p2)
+    return tuple(2 * (q[0] + q[12]) for q in (p3, p4, p6))
+
+
+def test_report_traces_are_within_1e_11_of_the_exact_traces():
+    """report's recurrence and the power chain against the exact traces of
+    each float input, as |err| / (1 + |exact|); the worst per class and
+    route is printed, shown with pytest -s."""
+    lines = []
+    for name in CLASS_NAMES:
+        worst = {"recurrence": [0.0] * 3, "chain": [0.0] * 3}
+        for k in range(40):
+            t = random_element([77, k], class_hint=name)
+            rep = report(t)
+            exact = _exact_power_traces(t.m)
+            for route, got in (("recurrence", (rep.tr3, rep.tr4, rep.tr6)),
+                               ("chain", _power_values(t)[2:5])):
+                worst[route] = [max(w, float(abs(Fraction(g) - e)
+                                             / (1 + abs(e))))
+                                for w, g, e in zip(worst[route], got, exact)]
+        lines.append(f"{name}: " + ", ".join(
+            f"{route} tr3/tr4/tr6 " + " ".join(f"{w:.1e}" for w in ws)
+            for route, ws in worst.items()))
+        print(lines[-1])
+        assert max(worst["recurrence"]) <= 1e-11, lines[-1]
 
 
 def test_report_fields(example):

@@ -23,7 +23,7 @@ from quatu11.spectra import _clamped_sqrt
 
 from probes import (BAND_SINH, R2, band_python_norm, dyadic_signed_zero,
                     gaussian_scales, huge_finite_matrices, non_finite_matrices,
-                    parts_matrix, rotor, same_bits)
+                    parts_matrix, rotor, same_bits, searched_compound_parabolic)
 
 ROTOR = rotor()
 
@@ -251,6 +251,31 @@ def test_oracle_answers_or_refuses_a_huge_finite_matrix(m, capfd):
     except NotApplicableError as exc:
         assert str(exc) == "the oracle needs a finite matrix norm, got inf"
     assert capfd.readouterr() == ("", "")
+
+
+def test_oracle_refuses_an_int_part_past_the_float_range():
+    # math.isfinite raises OverflowError on such an int
+    m = Mat2H(Quaternion(10 ** 400), 0.0, 0.0, 1.0)
+    with pytest.raises(NotApplicableError,
+                       match="needs a finite matrix norm, got inf$"):
+        right_spectrum_oracle(m)
+
+
+def test_searched_compound_parabolic_element_is_a_member():
+    t = validate(searched_compound_parabolic())
+    assert t.membership_residual < 1e-14
+    assert classify(t) is MoebiusClass.COMPOUND_PARABOLIC
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: casewise and oracle "
+                   "differ by 1.13e-7 on this element, past SPECTRUM_TOL")
+def test_searched_compound_parabolic_routes_agree():
+    t = validate(searched_compound_parabolic())
+    unified, casewise = right_spectrum(t), right_spectrum_casewise(t)
+    oracle = right_spectrum_oracle(t.m)
+    assert max(unified.max_deviation(casewise),
+               unified.max_deviation(oracle),
+               casewise.max_deviation(oracle)) <= spectra.SPECTRUM_TOL
 
 
 def test_verify_s_point_accepts_and_rejects(example):
