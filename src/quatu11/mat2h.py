@@ -33,6 +33,12 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def _require_finite_norm(p: tuple, who: str) -> None:
+    if not all(map(is_finite_real, p)):  # refused before numpy sees them
+        norm = "nan" if any(v != v for v in p) else "inf"  # in floats
+        raise NotApplicableError(f"{who} needs a finite matrix norm, got {norm}")
+
+
 def _entry_parts(value) -> tuple:
     if isinstance(value, Quaternion):
         return value.w, value.x, value.y, value.z
@@ -148,16 +154,14 @@ class Mat2H(Record):
         ), dtype=float).view(complex).reshape(4, 4)
 
     def is_singular(self, tol: float = SINGULAR_TOL) -> bool:
+        """sigma_min <= tol (1 + ||.||_F) of chi(M), decided on chi(M) 2^-e,
+        e the largest part's exponent floored at 0: exact, so no overflow."""
         import numpy as np
-        rep = self.chi()
-        # numpy's sum of squares overflows, to inf, from parts of ~1e154
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(rep)
-        if not math.isfinite(norm):
-            raise NotApplicableError(
-                f"the singularity test needs a finite matrix norm, got {norm}")
+        _require_finite_norm(self._p, "the singularity test")
+        scale = math.ldexp(1.0, -max(math.frexp(max(map(abs, self._p)))[1], 0))
+        rep = _from_parts(tuple([v * scale for v in self._p])).chi()
         smallest = np.linalg.svd(rep, compute_uv=False)[-1]
-        return bool(smallest <= tol * (1.0 + norm))
+        return bool(smallest <= tol * (scale + np.linalg.norm(rep)))
 
 
 (_set_p,) = Mat2H._slot_setters()

@@ -22,7 +22,7 @@ import math
 from .errors import (NegativeRadicandError, NoRootFoundError,
                      NotApplicableError)
 from .group import GroupElement, _unit_vectors
-from .mat2h import Mat2H, is_finite_real
+from .mat2h import Mat2H, _require_finite_norm
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
                       _entry_eps, stratum)
 from .quaternion import Quaternion, Record, _new, _qmul
@@ -35,10 +35,8 @@ DOUBLE_ROOT_TOL = 1e-13
 # A left-eigenvalue candidate must solve its quadratic to this residual.
 QUADRATIC_RESIDUAL_TOL = 1e-9
 # A radicand down to this is roundoff from cancellation and is clamped to
-# 0; one below it means the input was not a group element.  The text is
-# what error messages print, as "-1e-9" where a float would print "-1e-09".
-_RADICAND_FLOOR_TEXT = "-1e-9"
-_RADICAND_FLOOR = float(_RADICAND_FLOOR_TEXT)
+# 0; one below it means the input was not a group element.
+_RADICAND_FLOOR = -1e-9
 
 __all__ = [
     "SpectralSphere",
@@ -131,7 +129,7 @@ _set_re, _set_modulus = SpectralSphere._slot_setters()
 def _clamped_sqrt(radicand: float) -> float:
     if radicand < _RADICAND_FLOOR:
         raise NegativeRadicandError(
-            f"radicand {radicand:.3e} below {_RADICAND_FLOOR_TEXT}")
+            f"radicand {radicand:.3e} below {_RADICAND_FLOOR}")
     return math.sqrt(max(radicand, 0.0))
 
 
@@ -214,10 +212,7 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
     of the closed-form machinery above.
     """
     import numpy as np
-    if not all(map(is_finite_real, m._p)):
-        norm = "nan" if any(v != v for v in m._p) else "inf"  # in floats
-        raise NotApplicableError(
-            f"the oracle needs a finite matrix norm, got {norm}")
+    _require_finite_norm(m._p, "the oracle")
 
     def not_converged(err, flag):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

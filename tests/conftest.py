@@ -42,6 +42,12 @@ def acceptance():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # the sampler's bits and the goldens follow numpy's dot kernel, so a
+    # golden mismatch on one Python version can be traced to its BLAS
+    import numpy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    terminalreporter.write_line(
+        f"numpy {numpy.__version__}, BLAS {blas['name']}")
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:

@@ -482,6 +482,24 @@ def test_parser_lists_the_subcommands_in_order():
     assert "{" + ",".join(PARSER_SURFACE) + "}" in usage
 
 
+def test_help_reaches_every_subcommand():
+    # argparse formats each help text only for --help, so a bad one (a
+    # stray %) fails here and nowhere else
+    for command in PARSER_SURFACE:
+        proc = run_cli(command, "--help")
+        assert proc.returncode == 0, command
+        assert proc.stdout.startswith(f"usage: quatu11 {command} "), command
+    proc = run_cli()
+    assert (proc.returncode, proc.stdout) == (1, build_parser().format_help())
+
+
+def test_console_script_is_the_cli_main():
+    # read as text, so it runs where tomllib is missing (Python 3.10)
+    text = Path(SRC).parent.joinpath("pyproject.toml").read_text(
+        encoding="utf-8")
+    assert '\n[project.scripts]\nquatu11 = "quatu11.cli:main"\n' in text
+
+
 def _raising(exc):
     def fail(_t):
         raise exc

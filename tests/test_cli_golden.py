@@ -15,8 +15,13 @@ and should only be rewritten that way for a deliberate output change.
 `check_identities_seed3.txt` is the exact stdout of `quatu11
 check-identities --seed 3 --trials 200`: the sampler, the power chain and
 every identity residual, printed to the last bit.  `random_seed1.json` is
-that of `quatu11 random --seed 1`, the hint-free draw.  Like the class
-matrices both also rest on numpy's seeded normal draws.
+that of `quatu11 random --seed 1`, the hint-free draw, and each class
+matrix is that of `quatu11 random --seed 1 --class <Class>`.  All three
+also rest on numpy's seeded normal draws.
+
+Every command runs through the in-process `main`; these are the only
+golden checks.  CI adds a smoke test of the installed `quatu11` script
+(one class draw and one Case-3 diagonalization), not a second replay.
 """
 
 import contextlib
@@ -28,7 +33,6 @@ import pytest
 
 from quatu11 import Mat2H, Quaternion
 from quatu11.cli import main
-from quatu11.group import random_element
 from quatu11.spectra import SPECTRUM_TOL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,9 +78,11 @@ def expected():
 
 @pytest.mark.parametrize("matrix", MATRICES[:-1])
 def test_class_matrices_are_the_sampler_output(matrix):
-    # Pins the bits of random_element: each class matrix is its seed-1 draw.
-    doc = json.loads((GOLDEN / f"{matrix}.json").read_text(encoding="utf-8"))
-    assert random_element(1, matrix).m.to_json() == doc
+    # Pins the bits of random_element: each class matrix is the stdout of
+    # its seed-1 draw, `quatu11 random --seed 1 --class <Class>`.
+    want = (GOLDEN / f"{matrix}.json").read_text(encoding="utf-8")
+    got = _main([*RANDOM_SEED1_ARGS, "--class", matrix])
+    assert got == {"exit": 0, "stdout": want}
 
 
 @pytest.mark.parametrize("command,matrix", CASES,

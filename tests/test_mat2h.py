@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatu11 import Mat2H, QI, QJ, QK, Quaternion
+from quatu11 import Mat2H, QI, QJ, QK, Quaternion, left_eigenvalues
 from quatu11.errors import NotApplicableError
+from quatu11.mat2h import SINGULAR_TOL
 
 from probes import (R2, hex_parts, huge_finite_matrices, non_finite_matrices,
                     parts_matrix, quaternion_matmul)
@@ -183,6 +184,8 @@ def test_is_singular_golden_values():
     # noncommutative Schur complement a - b d^{-1} c = i - j(-1)k = 2i != 0,
     # so despite its look this one is invertible
     assert not Mat2H(QI, QJ, QK, Quaternion(-1.0)).is_singular()
+    # every part subnormal: 2^-e would overflow, so e is floored at 0
+    assert (5e-324 * Mat2H.identity()).is_singular()
 
 
 @pytest.mark.parametrize("m,shown", non_finite_matrices())
@@ -197,11 +200,39 @@ def test_is_singular_rejects_a_non_finite_matrix(m, shown, capfd):
 
 @pytest.mark.parametrize("m", huge_finite_matrices())
 def test_is_singular_rejects_a_huge_finite_matrix(m, capfd):
-    # numpy's norm overflows from about 1e154 and used to warn first
-    with pytest.raises(NotApplicableError,
-                       match="needs a finite matrix norm, got inf$"):
-        m.is_singular()
+    # Despite the name, an answer is required: numpy's unscaled norm
+    # overflows from parts of about 1e154, but on chi(M) 2^-e, e the
+    # exponent of the largest part, the norm is finite and the SVD decides.
+    e = math.frexp(max(map(abs, m._p)))[1]
+    rep = np.ldexp(m.chi().view(float), -e).view(complex)
+    want = np.linalg.svd(rep, compute_uv=False)[-1] \
+        <= SINGULAR_TOL * (2.0 ** -e + np.linalg.norm(rep))
+    assert m.is_singular() is bool(want)
     assert capfd.readouterr() == ("", "")
+
+
+def test_is_singular_decides_as_the_unscaled_svd(class_pool, generic_pool):
+    # Scaling chi(M) by a power of two is exact, so wherever numpy's
+    # unscaled norm is finite each decision is that of sigma_min <= tol
+    # (1 + ||chi(M)||_F), bit for bit.  Probes: M - lam I near each left
+    # eigenvalue lam of the pooled draws, scaled by 1e-150, 1 and 1e150.
+    pool = [t for ts in class_pool.values() for t in ts] + generic_pool
+    decisions = {tol: set() for tol in (1e-12, 1e-9, 1e-7)}
+    for t in pool:
+        for lam in left_eigenvalues(t.m).points:
+            for shift in (0.0, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5):
+                near = t.m - Mat2H.diag(lam + shift, lam + shift)
+                for scale in (1e-150, 1.0, 1e150):
+                    probe = scale * near
+                    rep = probe.chi()
+                    norm = np.linalg.norm(rep)
+                    assert math.isfinite(norm)
+                    smallest = np.linalg.svd(rep, compute_uv=False)[-1]
+                    for tol, seen in decisions.items():
+                        want = bool(smallest <= tol * (1.0 + norm))
+                        assert probe.is_singular(tol) is want, (probe, tol)
+                        seen.add(want)
+    assert all(seen == {True, False} for seen in decisions.values())
 
 
 def test_json_round_trip_and_validation():

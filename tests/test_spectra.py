@@ -292,7 +292,9 @@ def test_verify_s_point_accepts_and_rejects(example):
 def test_clamped_sqrt_window():
     assert _clamped_sqrt(-1e-12) == 0.0
     assert _clamped_sqrt(4.0) == 2.0
-    with pytest.raises(NegativeRadicandError):
+    # the floor prints as its float does
+    with pytest.raises(NegativeRadicandError,
+                       match="^radicand -1.000e-06 below -1e-09$"):
         _clamped_sqrt(-1e-6)
 
 
