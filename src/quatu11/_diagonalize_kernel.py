@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 
-from .diagonalize import CLAIM_TOL, DiagonalizationResult
+from ._thresholds import CLAIM_MARGIN, CLAIM_TOL, RADICAND_FLOOR, UNIT_SNAP
+from .diagonalize import DiagonalizationResult
 from .errors import CaseMismatchError, ClaimViolationError
 from .group import (GroupElement, _j_adjoint_parts, membership_residual,
                     validate)
 from .mat2h import Mat2H, _from_parts, _matmul
 from .moebius import DiagonalizationCase, _derived
 from .quaternion import Quaternion, _conj, _new, _qmul, solve_similarity
-from .spectra import _RADICAND_FLOOR
 
 # -- arithmetic on (w, x, y, z) part tuples ---------------------------------
 # Each sums as the Quaternion or Mat2H operation it stands for.
@@ -115,9 +115,9 @@ def case2(t: GroupElement) -> DiagonalizationResult:
 
 def _unit_point(s0: float) -> Quaternion:
     radicand = 1.0 - s0 * s0
-    if radicand < _RADICAND_FLOOR:
+    if radicand < RADICAND_FLOOR:
         raise CaseMismatchError(f"spectrum point {s0:.17g} left the unit circle")
-    if radicand <= 1e-12:
+    if radicand <= UNIT_SNAP:
         # sqrt is non-Lipschitz at the degenerate point: 1e-15 of roundoff
         # in delta would otherwise smear into a 3e-8 imaginary part.
         return Quaternion(s0, 0.0)
@@ -166,7 +166,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     x1_unit, ratio1 = row_seed(first)
     n1 = _norm_sq(ratio1)
     margin1 = 1.0 - n1
-    if margin1 <= 1e-12:
+    if margin1 <= CLAIM_MARGIN:
         raise ClaimViolationError(
             f"Claim A failed: |ratio|^2 = {n1:.17g} not below 1")
     x1 = _scaled(x1_unit, 1.0 / math.sqrt(margin1))
@@ -175,7 +175,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     x3_unit, ratio2 = row_seed(second)
     n2 = _norm_sq(ratio2)
     margin2 = n2 - 1.0
-    if margin2 <= 1e-12:
+    if margin2 <= CLAIM_MARGIN:
         raise ClaimViolationError(
             f"Claim B failed: |ratio|^2 = {n2:.17g} not above 1")
     x3 = _scaled(x3_unit, 1.0 / math.sqrt(margin2))

@@ -91,12 +91,14 @@ def spectrum_doc(t: GroupElement, args) -> dict:
         if args.oracle:
             doc["oracle_spheres"] = right_spectrum_oracle(t.m).to_json()
         return doc
-    spheres = right_spectrum(t)
+    spheres, casewise = right_spectrum(t), right_spectrum_casewise(t)
     doc = {"kind": args.kind, "spheres": spheres.to_json(),
-           "spheres_casewise": right_spectrum_casewise(t).to_json()}
+           "spheres_casewise": casewise.to_json()}
     if args.oracle:
         oracle = right_spectrum_oracle(t.m)
-        deviation = spheres.max_deviation(oracle)
+        deviation = max(spheres.max_deviation(casewise),
+                        spheres.max_deviation(oracle),
+                        casewise.max_deviation(oracle))
         doc["oracle_spheres"] = oracle.to_json()
         doc["max_deviation"] = deviation
         doc["agrees"] = deviation <= args.tol_spectrum

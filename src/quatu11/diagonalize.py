@@ -22,16 +22,15 @@ other under conjugation (Claim C).
 
 from __future__ import annotations
 
+from ._thresholds import CLAIM_TOL
 from .errors import NotEllipticError
 from .group import GroupElement
 from .mat2h import Mat2H, _frobenius, _from_parts
 from .moebius import DiagonalizationCase, stratum
 from .quaternion import Record
 
-CLAIM_TOL = 1e-6
-
 __all__ = ["DiagonalizationCase", "DiagonalizationResult",
-           "diagonalize_elliptic"]
+           "diagonalize_elliptic", "CLAIM_TOL"]
 
 
 class DiagonalizationResult(Record):

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 
+from ._thresholds import KAPPA1_FLOOR, MEMBERSHIP_TOL, ROW_FLOOR
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
 from .mat2h import Mat2H, _from_parts, _matmul
 from .quaternion import Record, _conj, _qmul
 
-MEMBERSHIP_TOL = 1e-9
 MAX_HINT_ATTEMPTS = 100_000
 
 J = Mat2H.diag(1.0, -1.0)
@@ -158,15 +158,15 @@ def conjugate(t: GroupElement, g: GroupElement,
 
 def _unit_vectors(rng, count: int, dim: int = 4) -> list:
     """count uniform points on the unit sphere in R^dim from blocks of
-    normals; a draw of norm < 1e-6 gives way to the next, so the normals,
-    their order and the end state are those of count single draws.  Each
-    squared norm is numpy's dot of a row with itself, as for one draw."""
+    normals; a draw of norm < ROW_FLOOR gives way to the next, so the
+    normals, their order and the end state are those of count single draws.
+    Each squared norm is numpy's dot of a row with itself, as for one draw."""
     units = []
     while len(units) < count:
         rows = rng.standard_normal((count - len(units), dim))
         for row, v in zip(rows.tolist(), rows):
             n = math.sqrt(v.dot(v))
-            if not n < 1e-6:
+            if not n < ROW_FLOOR:
                 units.append(tuple([p / n for p in row]))
     return units
 
@@ -247,7 +247,7 @@ def _candidate(rng, hint: str | None) -> tuple:
                           zip(_qmul(u1, u4), _conj(_qmul(u2, u3)))]
             kappa1 = math.sqrt(w * w + x * x + y * y + z * z)
             kappa2 = abs(_qmul(u1, u3)[0] - _qmul(u2, u4)[0])
-            if kappa1 > 1e-3 and 0.05 <= kappa2 / kappa1 <= 0.95:
+            if kappa1 > KAPPA1_FLOOR and 0.05 <= kappa2 / kappa1 <= 0.95:
                 break
         t = math.atanh(kappa2 / kappa1)
         for _ in range(2):  # polish the root of delta(t) below roundoff

@@ -14,13 +14,12 @@ import math
 import operator
 from typing import TYPE_CHECKING
 
+from ._thresholds import SINGULAR_TOL
 from .errors import NotApplicableError
 from .quaternion import Quaternion, Record, _conj, _new, _qmul
 
 if TYPE_CHECKING:
     import numpy as np
-
-SINGULAR_TOL = 1e-12
 
 __all__ = ["Mat2H", "SINGULAR_TOL"]
 

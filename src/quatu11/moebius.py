@@ -18,14 +18,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from ._thresholds import BALL_SLACK, EPS_CLASS, POLE_TOL
 from .errors import BallViolationError, MembershipError, PoleError
 from .group import GroupElement, _set_derived
 from .mat2h import Mat2H, _frobenius
 from .quaternion import Quaternion, _new, _qmul
-
-EPS_CLASS = 1e-10
-POLE_TOL = 1e-14
-BALL_SLACK = 1e-12
 
 __all__ = ["DiagonalizationCase", "MoebiusClass", "apply", "delta", "stratum",
            "classify", "is_elliptic", "evidence", "EPS_CLASS"]

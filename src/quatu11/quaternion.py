@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 
+from ._thresholds import SIMILARITY_TOL, TURN_TOL
 from .errors import NotSimilarError
-
-SIMILARITY_TOL = 1e-9
 
 __all__ = [
     "Quaternion",
@@ -269,7 +268,7 @@ def solve_similarity(s: Quaternion, u: Quaternion,
     direction_u = u.imag() * (1.0 / beta_u)
     x = ONE - direction_s * direction_u
     n = x.norm()
-    if n > 1e-8:
+    if n > TURN_TOL:
         return x * (1.0 / n)
     for candidate in (QI, QJ, QK):
         overlap = candidate.dot(direction_s)

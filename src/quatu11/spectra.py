@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import math
 
+from ._thresholds import (COLLAPSE_TOL, DOUBLE_ROOT_TOL, ORACLE_MERGE_TOL,
+                          POINT_MERGE_TOL, QUADRATIC_RESIDUAL_TOL,
+                          RADICAND_FLOOR, REAL_COEFF_TOL, SPECTRUM_TOL,
+                          SPHERE_DISC_FLOOR)
 from .errors import (NegativeRadicandError, NoRootFoundError,
                      NotApplicableError)
 from .group import GroupElement, _unit_vectors
@@ -26,17 +30,6 @@ from .mat2h import Mat2H, _require_finite_norm
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
                       _entry_eps, stratum)
 from .quaternion import Quaternion, Record, _new, _qmul
-
-SPECTRUM_TOL = 1e-7
-COLLAPSE_TOL = 1e-10
-# A root discriminant at most this fraction of the size of its terms is
-# roundoff on an exact double root, and is taken as zero.
-DOUBLE_ROOT_TOL = 1e-13
-# A left-eigenvalue candidate must solve its quadratic to this residual.
-QUADRATIC_RESIDUAL_TOL = 1e-9
-# A radicand down to this is roundoff from cancellation and is clamped to
-# 0; one below it means the input was not a group element.
-_RADICAND_FLOOR = -1e-9
 
 __all__ = [
     "SpectralSphere",
@@ -127,9 +120,9 @@ _set_re, _set_modulus = SpectralSphere._slot_setters()
 
 
 def _clamped_sqrt(radicand: float) -> float:
-    if radicand < _RADICAND_FLOOR:
+    if radicand < RADICAND_FLOOR:
         raise NegativeRadicandError(
-            f"radicand {radicand:.3e} below {_RADICAND_FLOOR}")
+            f"radicand {radicand:.3e} below {RADICAND_FLOOR}")
     return math.sqrt(max(radicand, 0.0))
 
 
@@ -229,8 +222,8 @@ def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:
         projections = [(math.inf, math.inf)]
     pairs, n = [], 0
     for re, mod in projections:
-        if n and abs(re - re_sum / n) <= 1e-8 * (1.0 + abs(re)) \
-                and abs(mod - mod_sum / n) <= 1e-8 * (1.0 + mod):
+        if n and abs(re - re_sum / n) <= ORACLE_MERGE_TOL * (1.0 + abs(re)) \
+                and abs(mod - mod_sum / n) <= ORACLE_MERGE_TOL * (1.0 + mod):
             re_sum, mod_sum, n = re_sum + re, mod_sum + mod, n + 1
             continue
         if n:
@@ -505,11 +498,12 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
          -(iw * cy - ix * cz + iy * cw + iz * cx),
          -(iw * cz + ix * cy - iy * cx + iz * cw))
     B0, C0 = B[0], C[0]
-    if (math.sqrt(B[1] * B[1] + B[2] * B[2] + B[3] * B[3]) <= 1e-10
-            and math.sqrt(C[1] * C[1] + C[2] * C[2] + C[3] * C[3]) <= 1e-10):
+    if (math.sqrt(B[1] * B[1] + B[2] * B[2] + B[3] * B[3]) <= REAL_COEFF_TOL
+            and math.sqrt(C[1] * C[1] + C[2] * C[2] + C[3] * C[3])
+            <= REAL_COEFF_TOL):
         # Real coefficients: either two real roots or a whole sphere.
         disc = B0 * B0 - 4.0 * C0
-        if disc < -1e-12:
+        if disc < SPHERE_DISC_FLOOR:
             radius = math.sqrt(C0 - 0.25 * B0 * B0)
             family = SphereFamily(m.a - m.b * (0.5 * B0), m.b * radius)
             return LeftSpectrumDescription((), (family,))
@@ -532,7 +526,7 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
         lz = az + (bw * qz + bx * qy - by * qx + bz * qw)
         if any(math.sqrt((lw - kw) * (lw - kw) + (lx - kx) * (lx - kx)
                          + (ly - ky) * (ly - ky) + (lz - kz) * (lz - kz))
-               <= 1e-8 for kw, kx, ky, kz in seen):
+               <= POINT_MERGE_TOL for kw, kx, ky, kz in seen):
             continue
         seen.append((lw, lx, ly, lz))
     if not seen:

@@ -22,7 +22,7 @@ from quatu11.group import random_element
 from quatu11.invariants import IDENTITY_CHECKS
 from quatu11.spectra import SPECTRUM_TOL
 
-from probes import worked_example
+from probes import searched_compound_parabolic, worked_example
 from test_cli_golden import MATRICES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -544,3 +544,20 @@ def test_injected_matrix_replaces_the_first_draw(example_file, monkeypatch):
                    "--matrix", example_file)
     assert proc.returncode == 0
     assert sorted(seeds) == [[4, 0, 1], [4, 1, 0], [4, 1, 1]]
+
+
+def test_oracle_agreement_reads_all_three_routes(tmp_path):
+    # unified-oracle is 2.7e-8 here but casewise-oracle 1.13e-7, past the
+    # bound: max_deviation is the largest of the three pairwise deviations
+    path = tmp_path / "searched.json"
+    path.write_text(json.dumps(searched_compound_parabolic().to_json()))
+    proc = run_cli("spectrum", "--oracle", str(path))
+    doc = json.loads(proc.stdout)
+    t = validate(searched_compound_parabolic())
+    casewise = RightSpectrum.from_pairs(
+        [(s["re"], s["modulus"]) for s in doc["spheres_casewise"]])
+    oracle = RightSpectrum.from_pairs(
+        [(s["re"], s["modulus"]) for s in doc["oracle_spheres"]])
+    assert right_spectrum(t).max_deviation(oracle) <= SPECTRUM_TOL
+    assert doc["max_deviation"] == casewise.max_deviation(oracle) > SPECTRUM_TOL
+    assert doc["agrees"] is False

@@ -245,3 +245,11 @@ def test_json_round_trip_and_validation():
     with pytest.raises(ValueError):
         Mat2H.from_json({"a": [math.inf, 0, 0, 0], "b": [0] * 4,
                          "c": [0] * 4, "d": [0] * 4})
+
+
+@pytest.mark.parametrize("op", [lambda m: m + 1, lambda m: m - "x",
+                                lambda m: m @ 2, lambda m: None * m],
+                         ids=["add", "sub", "matmul", "rmul"])
+def test_refused_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op(Mat2H.identity())

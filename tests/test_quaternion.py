@@ -186,3 +186,12 @@ def test_real_scalars_coerce_with_a_zero_imaginary_part():
     assert _bits(1.0 - q) == _bits(Quaternion(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(TypeError):
         q + "1"
+
+
+@pytest.mark.parametrize("op", [lambda: QI + "x", lambda: QI - "x",
+                                lambda: "x" * QI, lambda: QI / QI],
+                         ids=["add", "sub", "rmul", "truediv"])
+def test_refused_operands_raise_type_error(op):
+    # q / p is refused on purpose: it could mean q p^-1 or p^-1 q
+    with pytest.raises(TypeError):
+        op()
