@@ -13,66 +13,25 @@ element.
 from __future__ import annotations
 
 import math
+import operator
 
 from ._thresholds import CLAIM_MARGIN, CLAIM_TOL, RADICAND_FLOOR, UNIT_SNAP
 from .diagonalize import DiagonalizationResult
 from .errors import CaseMismatchError, ClaimViolationError
-from .group import (GroupElement, _j_adjoint_parts, membership_residual,
+from .group import (GroupElement, _conjugate_parts, membership_residual,
                     validate)
-from .mat2h import Mat2H, _from_parts, _matmul
+from .mat2h import Mat2H, _frobenius, _from_parts, _matmul
 from .moebius import DiagonalizationCase, _derived
-from .quaternion import Quaternion, _conj, _new, _qmul, solve_similarity
-
-# -- arithmetic on (w, x, y, z) part tuples ---------------------------------
-# Each sums as the Quaternion or Mat2H operation it stands for.
-
-
-def _neg(p: tuple) -> tuple:
-    return -p[0], -p[1], -p[2], -p[3]
-
-
-def _add(p: tuple, q: tuple) -> tuple:
-    return p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3]
-
-
-def _sub(p: tuple, q: tuple) -> tuple:
-    return p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3]
-
-
-def _scaled(p: tuple, s: float) -> tuple:
-    """p * s for a real s."""
-    return p[0] * s, p[1] * s, p[2] * s, p[3] * s
-
-
-def _norm_sq(p: tuple) -> float:
-    w, x, y, z = p
-    return w * w + x * x + y * y + z * z
-
-
-def _norm(p: tuple) -> float:
-    return math.sqrt(_norm_sq(p))
-
-
-def _inverse(p: tuple) -> tuple:
-    n2 = _norm_sq(p)
-    if n2 == 0.0:
-        raise ZeroDivisionError("zero quaternion has no inverse")
-    return p[0] / n2, -p[1] / n2, -p[2] / n2, -p[3] / n2
+from .quaternion import (Quaternion, _add, _conj, _inverse, _neg, _new, _norm,
+                         _norm_sq, _parts, _qmul, _scaled, _sub,
+                         solve_similarity)
 
 
 def _conjugation_residual(x: tuple, m: Mat2H, d: Mat2H) -> float:
-    """||X M J X* J - D||_F for X given as a 16-tuple and diagonal D, with the
-    bits of the Mat2H route: the Frobenius sum over a, b, c, d, and the
-    off-diagonal zeros of D dropped, since q - 0.0 == q for every float q."""
-    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = \
-        _matmul(_matmul(x, m._p), _j_adjoint_parts(x))
-    p = d._p
-    a0, a1, a2, a3 = a0 - p[0], a1 - p[1], a2 - p[2], a3 - p[3]
-    d0, d1, d2, d3 = d0 - p[12], d1 - p[13], d2 - p[14], d3 - p[15]
-    return math.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3)
-                     + (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3)
-                     + (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
-                     + (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
+    """||X M X^-1 - D||_F for X given as a 16-tuple, with the bits of the
+    Mat2H route."""
+    xmx = _conjugate_parts(x, m._p)
+    return _frobenius(tuple(map(operator.sub, xmx, d._p)))
 
 
 def case2(t: GroupElement) -> DiagonalizationResult:
@@ -90,7 +49,7 @@ def case2(t: GroupElement) -> DiagonalizationResult:
     lam2 = math.sqrt(1.0 - d0 * d0 + c_mod * c_mod)
     # y = conj(solve_similarity(conj(d), d0 + lam2 i))
     y = solve_similarity(_new(d0, -d1, -d2, -d3), Quaternion(d0, lam2))
-    y0, y1, y2, y3 = y.w, -y.x, -y.y, -y.z
+    y0, y1, y2, y3 = _conj(_parts(y))
 
     k = 1.0 / math.sqrt(2.0 * lam1 * (lam1 + lam2))
     # X = z diag(y, y) x1 with z == [[k (lam1 + lam2), -k |c| i],
@@ -128,9 +87,8 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     """Diagonalize T with b != conj(c) != 0 and delta < 0."""
     m = t.m
     a, b, c, dq = m._p[0:4], m._p[4:8], m._p[8:12], m._p[12:16]
-    # b - conj(c); x - (-y) is x + y
-    bc = _add(b, (-c[0], c[1], c[2], c[3]))
-    gap, dlt = _derived(t)[:2]  # gap is _norm_sq(bc) bit for bit
+    bc = _sub(b, _conj(c))
+    gap, dlt = _derived(t)[:2]  # gap is _norm_sq(bc)
 
     a0, d0 = a[0], dq[0]
     split = math.sqrt(-dlt)

@@ -17,7 +17,7 @@ import math
 from ._thresholds import KAPPA1_FLOOR, MEMBERSHIP_TOL, ROW_FLOOR
 from .errors import HintExhaustedError, MembershipDriftError, MembershipError
 from .mat2h import Mat2H, _from_parts, _matmul
-from .quaternion import Record, _conj, _qmul
+from .quaternion import Record, _conj, _norm, _qmul, _sub
 
 MAX_HINT_ATTEMPTS = 100_000
 
@@ -123,6 +123,12 @@ def _j_adjoint_parts(p: tuple) -> tuple:
             -b0, b1, b2, b3, d0, -d1, -d2, -d3)
 
 
+def _conjugate_parts(g: tuple, t: tuple) -> tuple:
+    """G T G^-1 on the 16 parts of G, a member, and of T: the bits of the
+    Mat2H route G @ T @ _j_adjoint(G)."""
+    return _matmul(_matmul(g, t), _j_adjoint_parts(g))
+
+
 def _j_adjoint(m: Mat2H) -> Mat2H:
     return _from_parts(_j_adjoint_parts(m._p))
 
@@ -140,8 +146,7 @@ def conjugate(t: GroupElement, g: GroupElement,
     check (residual <= 100 tol) runs on every call."""
     cached = t._conjugate
     if cached is None or cached[0] is not g:
-        gp = g.m._p
-        product = _matmul(_matmul(gp, t.m._p), _j_adjoint_parts(gp))
+        product = _conjugate_parts(g.m._p, t.m._p)
         cached = (g, GroupElement(_from_parts(product), _residual(product)))
         _set_conjugate(t, cached)
     residual = cached[1].membership_residual
@@ -243,9 +248,7 @@ def _candidate(rng, hint: str | None) -> tuple:
         # so tanh t matching the ratio of the two factors kills it exactly.
         while True:
             u1, u2, u3, u4 = _unit_vectors(rng, 4)
-            w, x, y, z = [p - q for p, q in
-                          zip(_qmul(u1, u4), _conj(_qmul(u2, u3)))]
-            kappa1 = math.sqrt(w * w + x * x + y * y + z * z)
+            kappa1 = _norm(_sub(_qmul(u1, u4), _conj(_qmul(u2, u3))))
             kappa2 = abs(_qmul(u1, u3)[0] - _qmul(u2, u4)[0])
             if kappa1 > KAPPA1_FLOOR and 0.05 <= kappa2 / kappa1 <= 0.95:
                 break
@@ -260,12 +263,9 @@ def _candidate(rng, hint: str | None) -> tuple:
         sign = -1.0 if rng.random() < 0.5 else 1.0
         base = _boost(_boost_parameter(rng, 0.3))
         return _diag_unit_conjugate(rng, tuple([sign * p for p in base]))
-    elif hint == "CompoundLoxodromic":
+    else:  # CompoundLoxodromic; random_element refused every other hint
         return _generic(rng, 0.3)
-    else:
-        raise ValueError(f"unknown class hint {hint!r}")
-    conjugator = _generic(rng)
-    return _matmul(_matmul(conjugator, base), _j_adjoint_parts(conjugator))
+    return _conjugate_parts(_generic(rng), base)
 
 
 def random_element(seed, class_hint: str | None = None,

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .errors import NotApplicableError
 from .group import GroupElement, _set_powers, conjugate
-from .mat2h import _matmul
+from .mat2h import _matmul, _trace
 from .moebius import DiagonalizationCase, _derived, _gap_delta, delta
 from .quaternion import Record
 
@@ -86,9 +86,9 @@ def _power_values(t: GroupElement) -> tuple:
         p3 = _matmul(p2, p)
         p4 = _matmul(p3, p)
         p6 = _matmul(p4, p2)
-        tr2, tr3, tr4, tr6 = [2.0 * (q[0] + q[12]) for q in (p2, p3, p4, p6)]
+        traces = [_trace(q) for q in (p, p2, p3, p4, p6)]
         d2, d3, d6 = [_gap_delta(q)[1] for q in (p2, p3, p6)]
-        values = (t.m.tr(), tr2, tr3, tr4, tr6, _derived(t)[1], d2, d3, d6)
+        values = (*traces, _derived(t)[1], d2, d3, d6)
         _set_powers(t, values)
     return values
 
@@ -124,8 +124,8 @@ class InvariantReport(Record):
 
 
 def report(t: GroupElement) -> InvariantReport:
-    p2 = _matmul(t.m._p, t.m._p)
-    tr1, tr2 = t.m.tr(), 2.0 * (p2[0] + p2[12])
+    p = t.m._p
+    tr1, tr2 = _trace(p), _trace(_matmul(p, p))
     return InvariantReport(tr1, tr2, *_newton_traces(tr1, tr2),
                            _derived(t)[1], _delta_legacy(t))
 

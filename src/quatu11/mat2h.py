@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from ._thresholds import SINGULAR_TOL
 from .errors import NotApplicableError
-from .quaternion import Quaternion, Record, _conj, _new, _qmul
+from .quaternion import Quaternion, Record, _conj, _new, _parts, _qmul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,7 +40,7 @@ def _require_finite_norm(p: tuple, who: str) -> None:
 
 def _entry_parts(value) -> tuple:
     if isinstance(value, Quaternion):
-        return value.w, value.x, value.y, value.z
+        return _parts(value)
     if isinstance(value, (int, float)):
         return float(value), 0.0, 0.0, 0.0
     raise TypeError(f"matrix entries must be quaternions or reals, got {value!r}")
@@ -119,7 +119,7 @@ class Mat2H(Record):
             return _from_parts(tuple([v * s for v in p]))
         if not isinstance(scalar, Quaternion):
             return NotImplemented
-        s = (scalar.w, scalar.x, scalar.y, scalar.z)
+        s = _parts(scalar)
         return _from_parts(_qmul(s, p[0:4]) + _qmul(s, p[4:8])
                            + _qmul(s, p[8:12]) + _qmul(s, p[12:16]))
 
@@ -131,7 +131,7 @@ class Mat2H(Record):
     def tr(self) -> float:
         """Real trace 2*(Re a + Re d); quaternionic traces are only defined
         up to similarity, the real part is what stays invariant."""
-        return 2.0 * (self._p[0] + self._p[12])
+        return _trace(self._p)
 
     def frobenius(self) -> float:
         return _frobenius(self._p)
@@ -172,6 +172,11 @@ def _from_parts(p: tuple) -> Mat2H:
     out = object.__new__(Mat2H)
     _set_p(out, p)
     return out
+
+
+def _trace(p: tuple) -> float:
+    """Mat2H.tr on the 16 parts p."""
+    return 2.0 * (p[0] + p[12])
 
 
 def _frobenius(p: tuple) -> float:

@@ -22,7 +22,8 @@ from ._thresholds import BALL_SLACK, EPS_CLASS, POLE_TOL
 from .errors import BallViolationError, MembershipError, PoleError
 from .group import GroupElement, _set_derived
 from .mat2h import Mat2H, _frobenius
-from .quaternion import Quaternion, _new, _qmul
+from .quaternion import (Quaternion, _add, _conj, _inverse, _new, _norm,
+                         _norm_sq, _parts, _qmul, _sub)
 
 __all__ = ["DiagonalizationCase", "MoebiusClass", "apply", "delta", "stratum",
            "classify", "is_elliptic", "evidence", "EPS_CLASS"]
@@ -56,15 +57,11 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
     tuples with the bits of the Quaternion route; NaN fails each gate."""
     if not z.norm() < 1.0:
         raise ValueError("the Moebius action is defined on the open unit ball")
-    p, zp = t.m._p, (z.w, z.x, z.y, z.z)
-    w, x, y, s = _qmul(p[8:12], zp)
-    w, x, y, s = w + p[12], x + p[13], y + p[14], s + p[15]
-    n2 = w * w + x * x + y * y + s * s
-    if math.sqrt(n2) <= POLE_TOL:
+    p, zp = t.m._p, _parts(z)
+    den = _add(_qmul(p[8:12], zp), p[12:16])
+    if _norm(den) <= POLE_TOL:
         raise PoleError("denominator c z + d vanished")
-    e, f, g, h = _qmul(p[0:4], zp)
-    image = _new(*_qmul((e + p[4], f + p[5], g + p[6], h + p[7]),
-                        (w / n2, -x / n2, -y / n2, -s / n2)))
+    image = _new(*_qmul(_add(_qmul(p[0:4], zp), p[4:8]), _inverse(den)))
     if not image.norm() < 1.0 + BALL_SLACK:
         raise BallViolationError(
             f"image modulus {image.norm():.17g} escaped the unit ball")
@@ -78,10 +75,8 @@ def _entry_eps(p: tuple) -> float:
 
 
 def _gap_delta(p: tuple) -> tuple[float, float]:
-    """|b - conj(c)|^2 and delta for the 16 parts p, with the bits of
-    (m.b - m.c.conjugate()).norm_sq(); x - (-y) is x + y."""
-    w, x, y, z = p[4] - p[8], p[5] + p[9], p[6] + p[10], p[7] + p[11]
-    gap = w * w + x * x + y * y + z * z
+    """|b - conj(c)|^2 and delta for the 16 parts p."""
+    gap = _norm_sq(_sub(p[4:8], _conj(p[8:12])))
     return gap, gap - (p[0] - p[12]) ** 2
 
 
@@ -94,8 +89,7 @@ def _derive(p: tuple) -> tuple:
     the 16 parts p, the pair None when exactly one of b, c is zero."""
     gap, dlt = _gap_delta(p)
     eps = _entry_eps(p)
-    nb = math.sqrt(p[4] * p[4] + p[5] * p[5] + p[6] * p[6] + p[7] * p[7])
-    nc = math.sqrt(p[8] * p[8] + p[9] * p[9] + p[10] * p[10] + p[11] * p[11])
+    nb, nc = _norm(p[4:8]), _norm(p[8:12])
     if nb <= eps and nc <= eps:
         pair = (DiagonalizationCase.CASE1,
                 MoebiusClass.SIMPLE_ELLIPTIC if abs(p[0] - p[12]) <= EPS_CLASS

@@ -11,6 +11,7 @@ appear on, which is safe because reals are central.
 from __future__ import annotations
 
 import math
+import operator
 
 from ._thresholds import SIMILARITY_TOL, TURN_TOL
 from .errors import NotSimilarError
@@ -134,14 +135,7 @@ class Quaternion(Record):
                             self.y * other, self.z * other)
             if not isinstance(other, Quaternion):
                 return NotImplemented
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return _new(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
+        return _new(*_qmul(_parts(self), _parts(other)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -162,7 +156,7 @@ class Quaternion(Record):
         return _new(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        return _norm_sq(_parts(self))
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -170,10 +164,7 @@ class Quaternion(Record):
     __abs__ = norm
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return _new(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _new(*_inverse(_parts(self)))
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
@@ -212,8 +203,17 @@ def _new(w, x, y, z) -> Quaternion:
     return out
 
 
+# -- the algebra on (w, x, y, z) part tuples -------------------------------
+# The one body of each formula: Quaternion's *, norm_sq and inverse call
+# these, as do the part-tuple kernels of the other modules.  Its +, -,
+# negation, real scaling and conjugate, one operation per part, keep their
+# own bodies: the Quaternion-form references of the kernels' bit tests.
+
+_parts = operator.attrgetter("w", "x", "y", "z")
+
+
 def _qmul(p: tuple, q: tuple) -> tuple:
-    """Quaternion.__mul__ on (w, x, y, z) part tuples, with its bits."""
+    """The Hamilton product p * q."""
     a, b, c, d = p
     e, f, g, h = q
     return (a * e - b * f - c * g - d * h,
@@ -225,6 +225,39 @@ def _qmul(p: tuple, q: tuple) -> tuple:
 def _conj(p: tuple) -> tuple:
     """Quaternion.conjugate on a part tuple."""
     return p[0], -p[1], -p[2], -p[3]
+
+
+def _neg(p: tuple) -> tuple:
+    return -p[0], -p[1], -p[2], -p[3]
+
+
+def _add(p: tuple, q: tuple) -> tuple:
+    return p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3]
+
+
+def _sub(p: tuple, q: tuple) -> tuple:
+    return p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3]
+
+
+def _scaled(p: tuple, s: float) -> tuple:
+    """p * s for a real s."""
+    return p[0] * s, p[1] * s, p[2] * s, p[3] * s
+
+
+def _norm_sq(p: tuple) -> float:
+    w, x, y, z = p
+    return w * w + x * x + y * y + z * z
+
+
+def _norm(p: tuple) -> float:
+    return math.sqrt(_norm_sq(p))
+
+
+def _inverse(p: tuple) -> tuple:
+    n2 = _norm_sq(p)
+    if n2 == 0.0:
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return p[0] / n2, -p[1] / n2, -p[2] / n2, -p[3] / n2
 
 
 def _coerce(value):

@@ -29,7 +29,8 @@ from .group import GroupElement, _unit_vectors
 from .mat2h import Mat2H, _require_finite_norm
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
                       _entry_eps, stratum)
-from .quaternion import Quaternion, Record, _new, _qmul
+from .quaternion import (Quaternion, Record, _conj, _inverse, _new, _parts,
+                         _qmul)
 
 __all__ = [
     "SpectralSphere",
@@ -175,11 +176,9 @@ def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
             return RightSpectrum.from_pairs(
                 [(d0 + root, abs(d0 + root)), (d0 - root, abs(d0 - root))])
         return RightSpectrum.from_pairs([(d0, 1.0)])
-    # Re(conj(c)^-1 b conj(d) + d) with the bits of the Quaternion route
-    c0, c1, c2, c3 = p[8:12]
-    n2 = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
-    l0, l1, l2, l3 = _qmul((c0 / n2, c1 / n2, c2 / n2, c3 / n2), p[4:8])
-    trace_half = (l0 * d0 + l1 * p[13] + l2 * p[14] + l3 * p[15]) + d0
+    # Re(conj(c)^-1 b conj(d) + d)
+    lead = _qmul(_inverse(_conj(p[8:12])), p[4:8])
+    trace_half = _qmul(lead, _conj(p[12:16]))[0] + d0
     if cls is MoebiusClass.COMPOUND_PARABOLIC:
         return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
     dlt = _derived(t)[1]
@@ -484,7 +483,7 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
         points = [_new(aw, ax, ay, az)]
         if math.sqrt(ew * ew + ex * ex + ey * ey + ez * ez) > eps:
             points.append(_new(dw, dx, dy, dz))
-        points.sort(key=lambda p: (p.w, p.x, p.y, p.z))
+        points.sort(key=_parts)
         return LeftSpectrumDescription(tuple(points), ())
 
     # B = b^-1 (a - d) and C = -(b^-1 c); nb > eps^2 > 0 here.

@@ -539,8 +539,10 @@ def test_class_hints_deliver_their_class(name):
 
 
 def test_unknown_hint_is_rejected():
-    with pytest.raises(ValueError):
-        random_element(1, class_hint="Hyperbolic")
+    # refused before the first draw, so also with no attempts to spend
+    for attempts in ({}, {"max_attempts": 0}):
+        with pytest.raises(ValueError, match="unknown class hint"):
+            random_element(1, class_hint="Hyperbolic", **attempts)
 
 
 def test_hint_exhaustion_surfaces():

@@ -10,8 +10,8 @@ from quatu11 import Mat2H, QI, QJ, QK, Quaternion, left_eigenvalues
 from quatu11.errors import NotApplicableError
 from quatu11.mat2h import SINGULAR_TOL
 
-from probes import (R2, hex_parts, huge_finite_matrices, non_finite_matrices,
-                    parts_matrix, quaternion_matmul)
+from probes import (R2, dyadic_signed_zero, hex_parts, huge_finite_matrices,
+                    non_finite_matrices, parts_matrix, quaternion_matmul)
 
 
 def _random_matrix(rng) -> Mat2H:
@@ -63,6 +63,11 @@ def test_fused_product_matches_quaternion_route_on_pools(class_pool,
     for x, y in zip(elements, elements[1:] + elements[:1]):
         _assert_same_product(x, y)
         _assert_same_product(x, x.adjoint())
+    # small dyadic parts, a random share of them signed zeros, so that the
+    # products with zero parts decide the sign of zeros in the result
+    rows = iter(dyadic_signed_zero(16, 4000, [1.0, -1.0, 2.0, -0.5, 3.0]))
+    for m, n in zip(rows, rows):
+        _assert_same_product(parts_matrix(m), parts_matrix(n))
 
 
 components = st.one_of(

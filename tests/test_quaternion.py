@@ -1,6 +1,7 @@
 """Quaternion arithmetic, similarity classes, and the intertwiner solver."""
 
 import copy
+import itertools
 import math
 import pickle
 
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from quatu11 import ONE, QI, QJ, QK, ZERO, Quaternion, is_similar, solve_similarity
 from quatu11.errors import NotSimilarError
-from quatu11.quaternion import _conj, _qmul
+from quatu11.quaternion import _conj, _inverse, _qmul
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -47,13 +48,40 @@ def test_multiplication_associative(p, q, r):
 
 signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
 signed_quaternions = st.builds(Quaternion, signed, signed, signed, signed)
+small = st.integers(min_value=-20, max_value=20).map(float)
+small_parts = st.tuples(small, small, small, small)
+# 2^k times a quaternion with one, two or four parts of +-1 and the rest 0:
+# |p|^2 is a power of two, so the parts of p^-1 are exact
+dyadic_norm_parts = st.builds(
+    lambda signs, k: tuple(math.ldexp(v, k) for v in signs),
+    st.sampled_from([v for v in itertools.product((0.0, 1.0, -1.0), repeat=4)
+                     if sum(map(abs, v)) in (1.0, 2.0, 4.0)]),
+    st.integers(min_value=-3, max_value=3))
+
+# e_r e_c for the basis (1, i, j, k) in row r, column c, as +-(index + 1)
+BASIS_PRODUCTS = ((1, 2, 3, 4),
+                  (2, -1, 4, -3),
+                  (3, -4, -1, 2),
+                  (4, 3, -2, -1))
 
 
-@given(p=signed_quaternions, q=signed_quaternions)
-def test_part_forms_keep_the_bits_of_the_quaternion_operations(p, q):
+def _expanded_product(p, q) -> tuple:
+    """p q summed term by term over the basis table."""
+    out = [0.0] * 4
+    for r, row in enumerate(BASIS_PRODUCTS):
+        for c, e in enumerate(row):
+            out[abs(e) - 1] += (1.0 if e > 0 else -1.0) * p[r] * q[c]
+    return tuple(out)
+
+
+@given(p=small_parts, q=small_parts, u=dyadic_norm_parts, s=signed_quaternions)
+def test_part_forms_keep_the_bits_of_the_quaternion_operations(p, q, u, s):
+    # Every product and sum of these parts is exact, in any order.
+    assert _qmul(p, q) == _expanded_product(p, q)
+    assert _expanded_product(_inverse(u), u) == (1.0, 0.0, 0.0, 0.0)
+    assert _expanded_product(u, _inverse(u)) == (1.0, 0.0, 0.0, 0.0)
     # repr shows the sign of a zero and every last bit, overflow included.
-    assert repr(_qmul(p.as_list(), q.as_list())) == repr(tuple((p * q).as_list()))
-    assert repr(_conj(p.as_list())) == repr(tuple(p.conjugate().as_list()))
+    assert repr(_conj(s.as_list())) == repr(tuple(s.conjugate().as_list()))
 
 
 @given(p=quaternions, q=quaternions)
