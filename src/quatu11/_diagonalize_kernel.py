@@ -22,8 +22,8 @@ from .group import (GroupElement, _conjugate_parts, membership_residual,
                     validate)
 from .mat2h import Mat2H, _frobenius, _from_parts, _matmul
 from .moebius import DiagonalizationCase, _derived
-from .quaternion import (Quaternion, _add, _conj, _inverse, _neg, _new, _norm,
-                         _norm_sq, _parts, _qmul, _scaled, _sub,
+from .quaternion import (Quaternion, _add, _conj, _inverse, _neg, _norm,
+                         _norm_sq, _qmul, _scaled, _sub, _tuple_new,
                          solve_similarity)
 
 
@@ -48,8 +48,8 @@ def case2(t: GroupElement) -> DiagonalizationResult:
     lam1 = math.sqrt(1.0 - d0 * d0)
     lam2 = math.sqrt(1.0 - d0 * d0 + c_mod * c_mod)
     # y = conj(solve_similarity(conj(d), d0 + lam2 i))
-    y = solve_similarity(_new(d0, -d1, -d2, -d3), Quaternion(d0, lam2))
-    y0, y1, y2, y3 = _conj(_parts(y))
+    y = solve_similarity(Quaternion(d0, -d1, -d2, -d3), Quaternion(d0, lam2))
+    y0, y1, y2, y3 = _conj(y)
 
     k = 1.0 / math.sqrt(2.0 * lam1 * (lam1 + lam2))
     # X = z diag(y, y) x1 with z == [[k (lam1 + lam2), -k |c| i],
@@ -117,7 +117,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     def row_seed(pair):
         sigma, pv = pair
         u = _scaled(_qmul(bc, _conj(pv)), -1.0 / (nbc * nbc))
-        x = solve_similarity(sigma, _new(*u)).as_list()
+        x = solve_similarity(sigma, _tuple_new(Quaternion, u))
         ratio = _qmul(_add(_qmul(bc, _inverse(pv)), a), c_inv)
         return x, ratio
 

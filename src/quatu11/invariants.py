@@ -19,8 +19,6 @@ power rules for delta(T^2), delta(T^3), delta(T^6) on the matrix powers;
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from .errors import NotApplicableError
 from .group import GroupElement, _set_powers, conjugate
 from .mat2h import _matmul, _trace
@@ -38,7 +36,7 @@ __all__ = [
 ]
 
 
-def _delta_legacy(t: GroupElement) -> Optional[float]:
+def _delta_legacy(t: GroupElement) -> float | None:
     """delta_legacy(t), or None where the cached stratum is not Case 3."""
     pair = _derived(t)[4]  # None if exactly one of b, c is zero
     if pair is None or pair[0] is not DiagonalizationCase.CASE3:
@@ -102,7 +100,7 @@ class InvariantReport(Record):
     __slots__ = ("tr1", "tr2", "tr3", "tr4", "tr6", "delta", "delta_legacy")
 
     def __init__(self, tr1: float, tr2: float, tr3: float, tr4: float,
-                 tr6: float, delta: float, delta_legacy: Optional[float]):
+                 tr6: float, delta: float, delta_legacy: float | None):
         _set_tr1(self, tr1)
         _set_tr2(self, tr2)
         _set_tr3(self, tr3)

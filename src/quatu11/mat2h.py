@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING
 
 from ._thresholds import SINGULAR_TOL
 from .errors import NotApplicableError
-from .quaternion import Quaternion, Record, _conj, _new, _parts, _qmul
-
-if TYPE_CHECKING:
-    import numpy as np
+from .quaternion import Quaternion, Record, _conj, _qmul, _tuple_new
 
 __all__ = ["Mat2H", "SINGULAR_TOL"]
 
@@ -40,7 +36,7 @@ def _require_finite_norm(p: tuple, who: str) -> None:
 
 def _entry_parts(value) -> tuple:
     if isinstance(value, Quaternion):
-        return _parts(value)
+        return value
     if isinstance(value, (int, float)):
         return float(value), 0.0, 0.0, 0.0
     raise TypeError(f"matrix entries must be quaternions or reals, got {value!r}")
@@ -48,7 +44,8 @@ def _entry_parts(value) -> tuple:
 
 def _entry_property(start: int) -> property:
     """The entry whose four parts begin at start, built on each read."""
-    return property(lambda self: _new(*self._p[start:start + 4]))
+    return property(lambda self: _tuple_new(Quaternion,
+                                             self._p[start:start + 4]))
 
 
 class Mat2H(Record):
@@ -60,8 +57,8 @@ class Mat2H(Record):
     a, b, c, d = map(_entry_property, (0, 4, 8, 12))
 
     def __init__(self, a, b, c, d):
-        _set_p(self, _entry_parts(a) + _entry_parts(b) + _entry_parts(c)
-               + _entry_parts(d))
+        _set_p(self, (*_entry_parts(a), *_entry_parts(b), *_entry_parts(c),
+                      *_entry_parts(d)))
 
     @classmethod
     def identity(cls) -> "Mat2H":
@@ -69,7 +66,7 @@ class Mat2H(Record):
 
     @classmethod
     def diag(cls, p, q) -> "Mat2H":
-        return _from_parts(_entry_parts(p) + (0.0,) * 8 + _entry_parts(q))
+        return _from_parts((*_entry_parts(p), *(0.0,) * 8, *_entry_parts(q)))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Mat2H":
@@ -119,9 +116,8 @@ class Mat2H(Record):
             return _from_parts(tuple([v * s for v in p]))
         if not isinstance(scalar, Quaternion):
             return NotImplemented
-        s = _parts(scalar)
-        return _from_parts(_qmul(s, p[0:4]) + _qmul(s, p[4:8])
-                           + _qmul(s, p[8:12]) + _qmul(s, p[12:16]))
+        return _from_parts(_qmul(scalar, p[0:4]) + _qmul(scalar, p[4:8])
+                           + _qmul(scalar, p[8:12]) + _qmul(scalar, p[12:16]))
 
     def adjoint(self) -> "Mat2H":
         p = self._p

@@ -22,8 +22,8 @@ from ._thresholds import BALL_SLACK, EPS_CLASS, POLE_TOL
 from .errors import BallViolationError, MembershipError, PoleError
 from .group import GroupElement, _set_derived
 from .mat2h import Mat2H, _frobenius
-from .quaternion import (Quaternion, _add, _conj, _inverse, _new, _norm,
-                         _norm_sq, _parts, _qmul, _sub)
+from .quaternion import (Quaternion, _add, _conj, _inverse, _norm, _norm_sq,
+                         _qmul, _sub, _tuple_new)
 
 __all__ = ["DiagonalizationCase", "MoebiusClass", "apply", "delta", "stratum",
            "classify", "is_elliptic", "evidence", "EPS_CLASS"]
@@ -57,11 +57,12 @@ def apply(t: GroupElement, z: Quaternion) -> Quaternion:
     tuples with the bits of the Quaternion route; NaN fails each gate."""
     if not z.norm() < 1.0:
         raise ValueError("the Moebius action is defined on the open unit ball")
-    p, zp = t.m._p, _parts(z)
-    den = _add(_qmul(p[8:12], zp), p[12:16])
+    p = t.m._p
+    den = _add(_qmul(p[8:12], z), p[12:16])
     if _norm(den) <= POLE_TOL:
         raise PoleError("denominator c z + d vanished")
-    image = _new(*_qmul(_add(_qmul(p[0:4], zp), p[4:8]), _inverse(den)))
+    image = _tuple_new(Quaternion, _qmul(_add(_qmul(p[0:4], z), p[4:8]),
+                                         _inverse(den)))
     if not image.norm() < 1.0 + BALL_SLACK:
         raise BallViolationError(
             f"image modulus {image.norm():.17g} escaped the unit ball")

@@ -5,13 +5,19 @@ product (i*i == j*j == k*k == i*j*k == -1).  Values are immutable; every
 operation returns a fresh instance.  Real numbers coerce on the side they
 appear on, which is safe because reals are central.
 
-`Record` is the immutable-value base of Quaternion and every value class.
+A `Quaternion` is a named 4-tuple of its parts (w, x, y, z), which the
+part-tuple algebra below takes unchanged.  From `tuple` it gains
+unpacking, `len`, indexing and ordering; it still equals only a
+Quaternion, and `+` with a plain tuple raises TypeError instead of
+concatenating.
+
+`Record` is the immutable-value base of every other value class.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from collections import namedtuple
 
 from ._thresholds import SIMILARITY_TOL, TURN_TOL
 from .errors import NotSimilarError
@@ -35,6 +41,7 @@ class Record:
     The fields are the subclass's own _fields, else its __slots__ less those
     starting with "_", which hold caches.  Assignment is blocked, so each
     subclass's __init__ sets its slots through `_slot_setters()`.
+    Quaternion keeps the same contract as a named tuple.
     """
 
     __slots__ = ()
@@ -75,17 +82,16 @@ class Record:
         return hash(self._values())
 
 
-class Quaternion(Record):
+_tuple_new = tuple.__new__
+
+
+class Quaternion(namedtuple("Quaternion", "w x y z", defaults=(0.0,) * 4)):
     """w + x*i + y*j + z*k; immutable, compared and hashed by components."""
 
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w: float = 0.0, x: float = 0.0,
-                 y: float = 0.0, z: float = 0.0):
-        _set_w(self, w)
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_z(self, z)
+    __slots__ = ()
+    # numpy scalars defer to the reflected operations below rather than
+    # read the parts as an array: np.float64(2.0) * q is a Quaternion.
+    __array_ufunc__ = None
 
     @classmethod
     def real(cls, value: float) -> "Quaternion":
@@ -97,7 +103,18 @@ class Quaternion(Record):
         return cls(w, x, y, z)
 
     def as_list(self) -> list[float]:
-        return [self.w, self.x, self.y, self.z]
+        return list(self)
+
+    # -- the Record contract, on a tuple ------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return False if isinstance(other, tuple) else NotImplemented
+        return tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's
+
+    __hash__ = tuple.__hash__
 
     # -- ring structure -------------------------------------------------
 
@@ -106,18 +123,21 @@ class Quaternion(Record):
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _new(self.w + other.w, self.x + other.x,
-                    self.y + other.y, self.z + other.z)
+        return _tuple_new(Quaternion, (self.w + other.w, self.x + other.x,
+                                       self.y + other.y, self.z + other.z))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        if isinstance(other, tuple):  # else tuple's + would concatenate
+            raise TypeError("a Quaternion does not add to a plain tuple")
+        return self.__add__(other)
 
     def __sub__(self, other):
         if other.__class__ is not Quaternion:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _new(self.w - other.w, self.x - other.x,
-                    self.y - other.y, self.z - other.z)
+        return _tuple_new(Quaternion, (self.w - other.w, self.x - other.x,
+                                       self.y - other.y, self.z - other.z))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -126,21 +146,21 @@ class Quaternion(Record):
         return other - self
 
     def __neg__(self) -> "Quaternion":
-        return _new(-self.w, -self.x, -self.y, -self.z)
+        return _tuple_new(Quaternion, (-self.w, -self.x, -self.y, -self.z))
 
     def __mul__(self, other):
         if other.__class__ is not Quaternion:
             if isinstance(other, (int, float)):
-                return _new(self.w * other, self.x * other,
-                            self.y * other, self.z * other)
+                return _tuple_new(Quaternion, (self.w * other, self.x * other,
+                                               self.y * other, self.z * other))
             if not isinstance(other, Quaternion):
                 return NotImplemented
-        return _new(*_qmul(_parts(self), _parts(other)))
+        return _tuple_new(Quaternion, _qmul(self, other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return _new(self.w * other, self.x * other,
-                        self.y * other, self.z * other)
+            return _tuple_new(Quaternion, (self.w * other, self.x * other,
+                                           self.y * other, self.z * other))
         return NotImplemented
 
     def __truediv__(self, other):
@@ -153,18 +173,18 @@ class Quaternion(Record):
     # -- involution and size ---------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        return _new(self.w, -self.x, -self.y, -self.z)
+        return _tuple_new(Quaternion, (self.w, -self.x, -self.y, -self.z))
 
     def norm_sq(self) -> float:
-        return _norm_sq(_parts(self))
+        return _norm_sq(self)
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        return math.sqrt(_norm_sq(self))
 
     __abs__ = norm
 
     def inverse(self) -> "Quaternion":
-        return _new(*_inverse(_parts(self)))
+        return _tuple_new(Quaternion, _inverse(self))
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
@@ -175,7 +195,7 @@ class Quaternion(Record):
     # -- real/imaginary split ---------------------------------------------
 
     def imag(self) -> "Quaternion":
-        return _new(0.0, self.x, self.y, self.z)
+        return _tuple_new(Quaternion, (0.0, self.x, self.y, self.z))
 
     def imag_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -185,31 +205,12 @@ class Quaternion(Record):
                 + self.y * other.y + self.z * other.z)
 
 
-_set_w, _set_x, _set_y, _set_z = Quaternion._slot_setters()
-_object_new = object.__new__
-
-
-def _new(w, x, y, z) -> Quaternion:
-    """Quaternion from four components, the constructor of the arithmetic.
-
-    Sets the slots through their descriptors, as __init__ does, without
-    the call through type() and the keyword defaults.
-    """
-    out = _object_new(Quaternion)
-    _set_w(out, w)
-    _set_x(out, x)
-    _set_y(out, y)
-    _set_z(out, z)
-    return out
-
-
 # -- the algebra on (w, x, y, z) part tuples -------------------------------
 # The one body of each formula: Quaternion's *, norm_sq and inverse call
-# these, as do the part-tuple kernels of the other modules.  Its +, -,
-# negation, real scaling and conjugate, one operation per part, keep their
-# own bodies: the Quaternion-form references of the kernels' bit tests.
-
-_parts = operator.attrgetter("w", "x", "y", "z")
+# these on the Quaternion itself, as do the part-tuple kernels of the other
+# modules on slices of a matrix's parts.  Its +, -, negation, real scaling
+# and conjugate, one operation per part, keep their own bodies: the
+# Quaternion-form references of the kernels' bit tests.
 
 
 def _qmul(p: tuple, q: tuple) -> tuple:
@@ -264,7 +265,7 @@ def _coerce(value):
     if isinstance(value, Quaternion):
         return value
     if isinstance(value, (int, float)):
-        return _new(float(value), 0.0, 0.0, 0.0)
+        return _tuple_new(Quaternion, (float(value), 0.0, 0.0, 0.0))
     return NotImplemented
 
 

@@ -29,8 +29,8 @@ from .group import GroupElement, _unit_vectors
 from .mat2h import Mat2H, _require_finite_norm
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
                       _entry_eps, stratum)
-from .quaternion import (Quaternion, Record, _conj, _inverse, _new, _parts,
-                         _qmul)
+from .quaternion import (Quaternion, Record, _conj, _inverse, _qmul,
+                         _tuple_new)
 
 __all__ = [
     "SpectralSphere",
@@ -480,10 +480,10 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     nb = bw * bw + bx * bx + by * by + bz * bz
     ew, ex, ey, ez = aw - dw, ax - dx, ay - dy, az - dz
     if math.sqrt(nb) <= eps:
-        points = [_new(aw, ax, ay, az)]
+        points = [_tuple_new(Quaternion, p[0:4])]
         if math.sqrt(ew * ew + ex * ex + ey * ey + ez * ez) > eps:
-            points.append(_new(dw, dx, dy, dz))
-        points.sort(key=_parts)
+            points.append(_tuple_new(Quaternion, p[12:16]))
+        points.sort()
         return LeftSpectrumDescription(tuple(points), ())
 
     # B = b^-1 (a - d) and C = -(b^-1 c); nb > eps^2 > 0 here.
@@ -513,7 +513,7 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
     else:
         candidates = _quadratic_roots(B, C)
 
-    seen: list[tuple] = []
+    seen: list[Quaternion] = []
     for q in candidates:
         if not _quad_residual(q, B, C) <= QUADRATIC_RESIDUAL_TOL:
             continue
@@ -527,8 +527,8 @@ def left_eigenvalues(m: Mat2H) -> LeftSpectrumDescription:
                          + (ly - ky) * (ly - ky) + (lz - kz) * (lz - kz))
                <= POINT_MERGE_TOL for kw, kx, ky, kz in seen):
             continue
-        seen.append((lw, lx, ly, lz))
+        seen.append(_tuple_new(Quaternion, (lw, lx, ly, lz)))
     if not seen:
         raise NoRootFoundError("no left eigenvalue survived the residual filter")
     seen.sort()
-    return LeftSpectrumDescription(tuple(Quaternion(*p) for p in seen), ())
+    return LeftSpectrumDescription(tuple(seen), ())

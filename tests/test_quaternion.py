@@ -152,7 +152,10 @@ def test_solve_similarity_degenerate_directions():
 
 
 def test_solve_similarity_real_input():
-    assert solve_similarity(Quaternion(2.0), Quaternion(2.0)) == ONE
+    assert solve_similarity(Quaternion(2.0), Quaternion(2.0)) is ONE
+    # Im s within SIMILARITY_TOL of 0 counts as real
+    assert solve_similarity(Quaternion(-0.5, 1e-12),
+                            Quaternion(-0.5, 0.0, -1e-12)) is ONE
 
 
 def test_solve_similarity_rejects_dissimilar():
@@ -223,3 +226,95 @@ def test_refused_operands_raise_type_error(op):
     # q / p is refused on purpose: it could mean q p^-1 or p^-1 q
     with pytest.raises(TypeError):
         op()
+
+
+# -- a Quaternion is a named 4-tuple of its parts ---------------------------
+
+def test_a_quaternion_unpacks_and_indexes_as_its_parts():
+    q = Quaternion(1.0, -0.0, 2.5, -1e-300)
+    w, x, y, z = q
+    assert _bits(Quaternion(w, x, y, z)) == _bits(q) and len(q) == 4
+    assert q[1] is q.x and q[-1] is q.z and q[1:3] == (-0.0, 2.5)
+    # ordered as its part tuples are
+    assert sorted([QI, QJ, QK, ZERO, -QI]) == [-QI, ZERO, QK, QJ, QI]
+
+
+def test_a_quaternion_never_equals_its_plain_tuple():
+    q = Quaternion(1.0, 2.0)
+    parts = (1.0, 2.0, 0.0, 0.0)
+    assert not q == parts and not parts == q
+    assert q != parts and parts != q
+    assert hash(q) == hash(parts) and len({q, parts}) == 2
+
+
+@pytest.mark.parametrize("op", [lambda: (0.0,) * 4 + ONE,
+                                lambda: ONE + (0.0,) * 4,
+                                lambda: (0.0,) * 4 - ONE,
+                                lambda: ONE * (1.0,), lambda: (1.0,) * ONE],
+                         ids=["radd", "add", "rsub", "mul", "rmul"])
+def test_plain_tuple_operands_raise_instead_of_concatenating(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_numpy_scalars_scale_a_quaternion():
+    # not an array of the four parts
+    got = np.float64(2.0) * Quaternion(1.0, -0.5)
+    assert type(got) is Quaternion and got == Quaternion(2.0, -1.0)
+
+
+# -- solve_similarity, the one solver on Quaternion operations --------------
+
+def _similar_pairs(count: int = 500):
+    """(v u v^-1, u) for seeded u with parts in [-1, 1] and unit v."""
+    rng = np.random.default_rng(36)
+    for _ in range(count):
+        u = Quaternion(*rng.uniform(-1.0, 1.0, 4).tolist())
+        v = Quaternion(*rng.standard_normal(4).tolist()).normalized()
+        yield v * u * v.inverse(), u
+
+
+def test_solve_similarity_on_a_pool_of_similar_pairs():
+    for s, u in _similar_pairs():
+        x = solve_similarity(s, u)
+        # 1 - I J cancels as I = Im s / |Im s| nears -J = -Im u / |Im u|,
+        # and the residual grows as 1 / |1 - I J|^2 there
+        turn = (ONE - s.imag().normalized() * u.imag().normalized()).norm()
+        assert (s * x - x * u).norm() <= 1e-15 * (1.0 + 1.0 / turn ** 2)
+        assert abs(x.norm() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("axis, chosen", [(QI, QJ), (QJ, QI), (QK, QI)],
+                         ids=["i", "j", "k"])
+def test_solve_similarity_antipodal_directions_take_the_first_free_axis(
+        axis, chosen):
+    # J == -I: the first of i, j, k not along I
+    assert solve_similarity(0.5 + 2.0 * axis, 0.5 - 2.0 * axis) == chosen
+
+
+_TURN = Quaternion(0.6, -0.2, 0.3, 0.7).normalized()
+
+
+def _turned(s):
+    return _TURN * s * _TURN.inverse()
+
+
+SOLVED = [  # (s, u, the parts of solve_similarity(s, u) as float.hex)
+    (Quaternion(0.5, 0.25, -1.0, 0.75), Quaternion(0.5, 0.75, 0.25, -1.0),
+     "0x1.ffffffffffffep-2 -0x1.0000000000000p-1 -0x1.0000000000000p-1 "
+     "-0x1.0000000000001p-1"),
+    (Quaternion(-0.3, 0.1, 0.2, -0.4), _turned(Quaternion(-0.3, 0.1, 0.2, -0.4)),
+     "0x1.9be83e8f49d5bp-1 0x1.c4ba1205459e9p-2 -0x1.8d104ec179e9ap-2 "
+     "-0x1.55668b7dae349p-4"),
+    (Quaternion(1.0, 1e-6, 2.0, -3.0), _turned(Quaternion(1.0, 1e-6, 2.0, -3.0)),
+     "0x1.799e07658294ap-1 0x1.10fefa782b61ep-1 -0x1.6118c7736aa71p-2 "
+     "-0x1.d6cb9cbf124b3p-3"),
+    (Quaternion(0.25, 0.0, 3.0, 4.0), Quaternion(0.25, 0.0, -3.0, -4.0),
+     "0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("s, u, parts", SOLVED, ids=range(len(SOLVED)))
+def test_solve_similarity_keeps_its_bits(s, u, parts):
+    x = solve_similarity(s, u).as_list()
+    assert " ".join(float(v).hex() for v in x) == parts
