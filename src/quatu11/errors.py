@@ -27,10 +27,6 @@ class NotApplicableError(QuatU11Error):
     """The requested quantity is undefined for this input (CLI exit 2)."""
 
 
-class NegativeRadicandError(QuatU11Error):
-    """A radicand fell below the roundoff clamp window."""
-
-
 class NoRootFoundError(QuatU11Error):
     """Root finding produced no candidate that survived the residual filter."""
 

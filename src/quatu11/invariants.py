@@ -138,8 +138,7 @@ def report(t: GroupElement) -> InvariantReport:
 class IdentityCheck(Record):
     __slots__ = ("name", "tol", "fn")
 
-    def __init__(self, name: str, tol: float,
-                 fn: Callable[[GroupElement, GroupElement], float]):
+    def __init__(self, name: str, tol: float, fn):
         _set_name(self, name)
         _set_tol(self, tol)
         _set_fn(self, fn)

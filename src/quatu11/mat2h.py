@@ -134,9 +134,9 @@ class Mat2H(Record):
 
     # -- complex adjoint --------------------------------------------------
 
-    def chi(self) -> np.ndarray:
-        """Block rows (z, v), (-conj(v), conj(z)) of each entry as one array
-        of 32 float parts; float() first, so an int 0 negates to -0.0."""
+    def chi(self):
+        """4x4 complex array: block rows (z, v), (-conj(v), conj(z)) of each
+        entry, from 32 float parts; float() first, so int 0 negates to -0.0."""
         import numpy as np
         (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = \
             self._p

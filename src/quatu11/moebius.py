@@ -11,6 +11,11 @@ together with d0 = Re d and delta(T) = |b - conj(c)|^2 - (Re a - Re d)^2:
                         elliptic / parabolic / loxodromic
     b != conj(c) != 0:  delta < 0 / == 0 / > 0 gives compound
                         elliptic / parabolic / loxodromic
+
+In K = T + T^-1 - A I with A = a0 + d0, which has K^2 = -delta I and
+commutes with T (Parker and Short, CMFT 9, 2009; Foreman, LAA 381, 2004):
+K == 0 means a simple class, split by |A| against 2, T = +-I (|A| == 2)
+counted simple elliptic; K != 0 a compound class, split by sign(delta).
 """
 
 from __future__ import annotations
@@ -87,7 +92,10 @@ def delta(m: Mat2H) -> float:
 
 def _derive(p: tuple) -> tuple:
     """(|b - conj(c)|^2, delta, |b|, |c|, (case, class)) of the matrix with
-    the 16 parts p, the pair None when exactly one of b, c is zero."""
+    the 16 parts p, the pair None when exactly one of b, c is zero.
+
+    In K: K == 0 is Case 1 with a0 == d0 and Case 2, where the group
+    forces a0 == d0; K != 0 is Case 1 with a0 != d0 (delta < 0) and Case 3."""
     gap, dlt = _gap_delta(p)
     eps = _entry_eps(p)
     nb, nc = _norm(p[4:8]), _norm(p[8:12])

@@ -287,8 +287,8 @@ def solve_similarity(s: Quaternion, u: Quaternion,
 
     With I = Im(s)/|Im(s)| and J = Im(u)/|Im(u)| the quaternion 1 - I*J
     intertwines the two imaginary directions; when it degenerates (J == -I)
-    any unit imaginary orthogonal to I works, and the first usable candidate
-    from the fixed order (i, j, k) keeps the choice deterministic.
+    any unit imaginary orthogonal to I works: i's part orthogonal to I, or
+    j's if that is not past 0.5, when <j, I>^2 <= 0.25 puts j's past 0.86.
     """
     if not is_similar(s, u, tol):
         raise NotSimilarError(f"{s} and {u} are not similar within {tol}")
@@ -304,10 +304,7 @@ def solve_similarity(s: Quaternion, u: Quaternion,
     n = x.norm()
     if n > TURN_TOL:
         return x * (1.0 / n)
-    for candidate in (QI, QJ, QK):
-        overlap = candidate.dot(direction_s)
-        residue = candidate - direction_s * overlap
-        n = residue.norm()
-        if n > 0.5:
-            return residue * (1.0 / n)
-    raise NotSimilarError("no orthogonal direction found")  # unreachable
+    residue = QI - direction_s * QI.dot(direction_s)
+    if not residue.norm() > 0.5:
+        residue = QJ - direction_s * QJ.dot(direction_s)
+    return residue * (1.0 / residue.norm())

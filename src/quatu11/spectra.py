@@ -21,10 +21,8 @@ import math
 
 from ._thresholds import (COLLAPSE_TOL, DOUBLE_ROOT_TOL, ORACLE_MERGE_TOL,
                           POINT_MERGE_TOL, QUADRATIC_RESIDUAL_TOL,
-                          RADICAND_FLOOR, REAL_COEFF_TOL, SPECTRUM_TOL,
-                          SPHERE_DISC_FLOOR)
-from .errors import (NegativeRadicandError, NoRootFoundError,
-                     NotApplicableError)
+                          REAL_COEFF_TOL, SPECTRUM_TOL, SPHERE_DISC_FLOOR)
+from .errors import NoRootFoundError, NotApplicableError
 from .group import GroupElement, _unit_vectors
 from .mat2h import Mat2H, _require_finite_norm
 from .moebius import (DiagonalizationCase, MoebiusClass, _derived,
@@ -120,40 +118,40 @@ _set_re, _set_modulus = SpectralSphere._slot_setters()
 (_set_spheres,) = RightSpectrum._slot_setters()
 
 
-def _clamped_sqrt(radicand: float) -> float:
-    if radicand < RADICAND_FLOOR:
-        raise NegativeRadicandError(
-            f"radicand {radicand:.3e} below {RADICAND_FLOOR}")
-    return math.sqrt(max(radicand, 0.0))
-
-
-def _sphere_pairs(trace_half: float, dlt: float):
-    """The (re, modulus) data of both spectral spheres.
-
-    trace_half is a0 + d0.  The larger real part carries the larger modulus
-    exactly when a0 + d0 >= 0; negating a loxodromic element swaps which
-    root of the modulus equation belongs to which real part, so the pairing
-    must follow the sign of the trace.
-    """
-    A = trace_half
-    sgn = 1.0 if dlt > 0.0 else (-1.0 if dlt < 0.0 else 0.0)
-    inner = (A * A + dlt - 4.0) ** 2 + 8.0 * dlt * (sgn + 1.0)
-    xprime = (A * A + dlt + _clamped_sqrt(inner)) / 4.0
-    half_split = 0.5 * _clamped_sqrt(2.0 * xprime - 2.0 - dlt)
-    mod_split = _clamped_sqrt(xprime * xprime - 1.0)
-    re_hi, re_lo = 0.5 * A + half_split, 0.5 * A - half_split
-    if A >= 0.0:
-        m2_hi, m2_lo = xprime + mod_split, xprime - mod_split
-    else:
-        m2_hi, m2_lo = xprime - mod_split, xprime + mod_split
-    return [(re_hi, math.sqrt(max(m2_hi, 0.0))),
-            (re_lo, math.sqrt(max(m2_lo, 0.0)))]
+def _sphere_pairs(A: float, dlt: float, unit: bool = False) -> list:
+    """(re, modulus) of the right eigenvalues for A = a0 + d0 and delta.
+    K = T + T^-1 - A I has K^2 = -delta I and commutes with T, so each one
+    solves lambda^2 - y lambda + 1 == 0, with y a root of
+    y^2 - 2 A y + A^2 + delta.  Each quadratic gives its larger-modulus
+    lambda and the inverse; |y| <= 2, or unit (|lambda| == 1 decided),
+    gives the sphere (y / 2, 1.0)."""
+    if dlt > 0.0:
+        import cmath  # only a compound loxodromic y is complex
+        y = complex(A, math.sqrt(dlt))
+        root = cmath.sqrt(y * y - 4.0)
+        lam = 0.5 * max(y + root, y - root, key=abs)
+        return [(lam.real, abs(lam)), ((1.0 / lam).real, 1.0 / abs(lam))]
+    root = math.sqrt(-dlt)
+    pairs = []
+    for y in (A + root, A - root) if root else (A,):
+        if unit or abs(y) <= 2.0:
+            pairs.append((0.5 * y, 1.0))
+        else:
+            lam = 0.5 * (y + math.copysign(math.sqrt(y * y - 4.0), y))
+            pairs += [(lam, abs(lam)), (1.0 / lam, abs(1.0 / lam))]
+    return pairs
 
 
 def right_spectrum(t: GroupElement) -> RightSpectrum:
-    """Spectral spheres from the unified trace/delta formula."""
+    """Spectral spheres by the K-form, on the values T's class decides:
+    delta = 0 where K = 0 or on CompoundParabolic; |lambda| = 1 but on
+    SimpleLoxodromic (CompoundLoxodromic has delta > 0, so a complex y)."""
+    cls = stratum(t)[1]
+    dlt = _derived(t)[1] if cls in (MoebiusClass.COMPOUND_ELLIPTIC,
+                                    MoebiusClass.COMPOUND_LOXODROMIC) else 0.0
+    unit = cls is not MoebiusClass.SIMPLE_LOXODROMIC
     return RightSpectrum.from_pairs(
-        _sphere_pairs(t.m._p[0] + t.m._p[12], _derived(t)[1]))
+        _sphere_pairs(t.m._p[0] + t.m._p[12], dlt, unit))
 
 
 def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:

@@ -550,18 +550,40 @@ def test_injected_matrix_replaces_the_first_draw(example_file, monkeypatch):
     assert sorted(seeds) == [[4, 0, 1], [4, 1, 0], [4, 1, 1]]
 
 
-def test_oracle_agreement_reads_all_three_routes(tmp_path):
-    # unified-oracle is 2.7e-8 here but casewise-oracle 1.13e-7, past the
-    # bound: max_deviation is the largest of the three pairwise deviations
+def _route_deviations(doc) -> tuple:
+    """Unified-casewise, unified-oracle and casewise-oracle deviations of
+    the sphere lists in a `spectrum --oracle` document."""
+    unified, casewise, oracle = (
+        RightSpectrum.from_pairs([(s["re"], s["modulus"]) for s in doc[key]])
+        for key in ("spheres", "spheres_casewise", "oracle_spheres"))
+    return (unified.max_deviation(casewise), unified.max_deviation(oracle),
+            casewise.max_deviation(oracle))
+
+
+def test_oracle_agreement_reads_all_three_routes(tmp_path, example_file,
+                                                 monkeypatch):
+    # unified and casewise give the searched element's one sphere, and both
+    # lie 1.13e-7 from the oracle, past the bound
     path = tmp_path / "searched.json"
     path.write_text(json.dumps(searched_compound_parabolic().to_json()))
-    proc = run_cli("spectrum", "--oracle", str(path))
-    doc = json.loads(proc.stdout)
-    t = validate(searched_compound_parabolic())
-    casewise = RightSpectrum.from_pairs(
-        [(s["re"], s["modulus"]) for s in doc["spheres_casewise"]])
-    oracle = RightSpectrum.from_pairs(
-        [(s["re"], s["modulus"]) for s in doc["oracle_spheres"]])
-    assert right_spectrum(t).max_deviation(oracle) <= SPECTRUM_TOL
-    assert doc["max_deviation"] == casewise.max_deviation(oracle) > SPECTRUM_TOL
+    doc = json.loads(run_cli("spectrum", "--oracle", str(path)).stdout)
+    deviations = _route_deviations(doc)
+    assert doc["max_deviation"] == max(deviations) > SPECTRUM_TOL
+    assert deviations[0] <= 1e-12
+    assert doc["agrees"] is False
+    # max_deviation is the largest of the three pairwise deviations: with
+    # casewise alone moved 2 SPECTRUM_TOL off, a casewise pair sets it
+    casewise = quatu11.cli.right_spectrum_casewise
+
+    def shifted(t):
+        return RightSpectrum.from_pairs(
+            [(s.re + 2.0 * SPECTRUM_TOL, s.modulus)
+             for s in casewise(t).spheres])
+
+    monkeypatch.setattr(quatu11.cli, "right_spectrum_casewise", shifted)
+    doc = json.loads(run_cli("spectrum", "--oracle", example_file).stdout)
+    unified_casewise, unified_oracle, casewise_oracle = _route_deviations(doc)
+    assert unified_oracle <= 1e-12
+    assert doc["max_deviation"] == max(unified_casewise, casewise_oracle) \
+        > SPECTRUM_TOL
     assert doc["agrees"] is False

@@ -172,16 +172,15 @@ def test_one_stratum_decision_per_element(class_pool, monkeypatch):
     assert cases == set(DiagonalizationCase)
 
     # Exactly one of b, c zero: every stratum reader raises, on every call,
-    # from the one record; report, right_spectrum and evidence still return.
+    # from the one record; report and evidence still return.
     bad = GroupElement(Mat2H(Quaternion(1.0), QI, Quaternion(),
                              Quaternion(1.0)), 0.0)
     derivations.clear()
     assert report(bad).delta_legacy is None
-    for call in (classify, right_spectrum_casewise, diagonalize_elliptic,
-                 stratum):
+    for call in (classify, right_spectrum, right_spectrum_casewise,
+                 diagonalize_elliptic, stratum):
         with pytest.raises(MembershipError):
             call(bad)
-    right_spectrum(bad)
     evidence(bad)
     assert len(derivations) == 1 and bad._derived[4] is None
 
