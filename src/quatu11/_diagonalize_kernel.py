@@ -6,8 +6,8 @@ zero, so the result has the bits of that route (the Quaternion-form bodies
 live on as the bit reference in tests/test_diagonalize.py).  T's entries
 are slices of its parts; Quaternions are built only for the points of D
 and for `quaternion.solve_similarity`, which runs in its Quaternion form.
-`diagonalize_elliptic` imports this module on its first Case-2 or Case-3
-element.
+Every refusal here fails on NaN.  `diagonalize_elliptic` imports this
+module on its first Case-2 or Case-3 element.
 """
 
 from __future__ import annotations
@@ -18,20 +18,29 @@ import operator
 from ._thresholds import CLAIM_MARGIN, CLAIM_TOL, RADICAND_FLOOR, UNIT_SNAP
 from .diagonalize import DiagonalizationResult
 from .errors import CaseMismatchError, ClaimViolationError
-from .group import (GroupElement, _conjugate_parts, membership_residual,
-                    validate)
+from .group import GroupElement, _conjugate_parts, membership_residual
 from .mat2h import Mat2H, _frobenius, _from_parts, _matmul
 from .moebius import DiagonalizationCase, _derived
 from .quaternion import (Quaternion, _add, _conj, _inverse, _neg, _norm,
                          _norm_sq, _qmul, _scaled, _sub, _tuple_new,
                          solve_similarity)
+from .spectra import _sphere_pairs
 
 
-def _conjugation_residual(x: tuple, m: Mat2H, d: Mat2H) -> float:
-    """||X M X^-1 - D||_F for X given as a 16-tuple, with the bits of the
-    Mat2H route."""
+def _result(x: tuple, m: Mat2H, d: Mat2H, case: DiagonalizationCase,
+            claim: float = 0.0) -> DiagonalizationResult:
+    """Case 2's or 3's result for X as a 16-tuple, if X is a member within
+    CLAIM_TOL; ||X M X^-1 - D||_F has the bits of the Mat2H route."""
+    xmat = _from_parts(x)
+    residual = membership_residual(xmat)
+    if not residual <= CLAIM_TOL:
+        raise ClaimViolationError(
+            f"conjugator membership residual {residual:.3e}")
     xmx = _conjugate_parts(x, m._p)
-    return _frobenius(tuple(map(operator.sub, xmx, d._p)))
+    return DiagonalizationResult(
+        GroupElement(xmat, residual), d,
+        _frobenius(tuple(map(operator.sub, xmx, d._p))), residual, case,
+        claim)
 
 
 def case2(t: GroupElement) -> DiagonalizationResult:
@@ -65,16 +74,13 @@ def case2(t: GroupElement) -> DiagonalizationResult:
                          0.0, 0.0, 0.0, 0.0, y0, y1, y2, y3)),
                 phase + (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                          1.0, 0.0, 0.0, 0.0))
-    xe = validate(_from_parts(x), CLAIM_TOL)
     d = Mat2H.diag(Quaternion(d0, lam1), Quaternion(d0, -lam1))
-    return DiagonalizationResult(xe, d, _conjugation_residual(x, m, d),
-                                 xe.membership_residual,
-                                 DiagonalizationCase.CASE2)
+    return _result(x, m, d, DiagonalizationCase.CASE2)
 
 
 def _unit_point(s0: float) -> Quaternion:
     radicand = 1.0 - s0 * s0
-    if radicand < RADICAND_FLOOR:
+    if not radicand >= RADICAND_FLOOR:
         raise CaseMismatchError(f"spectrum point {s0:.17g} left the unit circle")
     if radicand <= UNIT_SNAP:
         # sqrt is non-Lipschitz at the degenerate point: 1e-15 of roundoff
@@ -91,9 +97,8 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     gap, dlt = _derived(t)[:2]  # gap is _norm_sq(bc)
 
     a0, d0 = a[0], dq[0]
-    split = math.sqrt(-dlt)
-    sphere = _unit_point(0.5 * (a0 + d0 + split))
-    sphere_p = _unit_point(0.5 * (a0 + d0 - split))
+    sphere, sphere_p = [_unit_point(s0) for s0, _ in
+                        _sphere_pairs(a0 + d0, dlt, True)]
 
     # p = 2 s0 conj(c) - b conj(d) - conj(c) d; the products do not depend
     # on s0.
@@ -124,7 +129,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     x1_unit, ratio1 = row_seed(first)
     n1 = _norm_sq(ratio1)
     margin1 = 1.0 - n1
-    if margin1 <= CLAIM_MARGIN:
+    if not margin1 > CLAIM_MARGIN:
         raise ClaimViolationError(
             f"Claim A failed: |ratio|^2 = {n1:.17g} not below 1")
     x1 = _scaled(x1_unit, 1.0 / math.sqrt(margin1))
@@ -133,7 +138,7 @@ def case3(t: GroupElement) -> DiagonalizationResult:
     x3_unit, ratio2 = row_seed(second)
     n2 = _norm_sq(ratio2)
     margin2 = n2 - 1.0
-    if margin2 <= CLAIM_MARGIN:
+    if not margin2 > CLAIM_MARGIN:
         raise ClaimViolationError(
             f"Claim B failed: |ratio|^2 = {n2:.17g} not above 1")
     x3 = _scaled(x3_unit, 1.0 / math.sqrt(margin2))
@@ -145,17 +150,9 @@ def case3(t: GroupElement) -> DiagonalizationResult:
                 abs(_norm(x1) - _norm(x4)),
                 _norm(_sub(_qmul(x1, _conj(x3)), _qmul(x2, _conj(x4)))),
                 _norm(_sub(_qmul(_conj(x1), x2), _qmul(_conj(x3), x4))))
-    if claim > CLAIM_TOL:
+    if not claim <= CLAIM_TOL:
         raise ClaimViolationError(f"claim residual {claim:.3e} exceeds {CLAIM_TOL}")
 
-    x = x1 + x2 + x3 + x4
-    xmat = _from_parts(x)
-    residual = membership_residual(xmat)
-    if residual > CLAIM_TOL:
-        raise ClaimViolationError(
-            f"conjugator membership residual {residual:.3e}")
-    d = Mat2H.diag(first[0], second[0])
-    return DiagonalizationResult(GroupElement(xmat, residual), d,
-                                 _conjugation_residual(x, m, d),
-                                 residual,
-                                 DiagonalizationCase.CASE3, claim)
+    # max() drops a NaN after its first term; X's membership gate cannot
+    return _result(x1 + x2 + x3 + x4, m, Mat2H.diag(first[0], second[0]),
+                   DiagonalizationCase.CASE3, claim)

@@ -16,7 +16,7 @@ COLLAPSE_TOL = 1e-10  # absolute: from_pairs merges a pair into a sphere
 DOUBLE_ROOT_TOL = 1e-13  # size: a root discriminant is a double root's 0
 QUADRATIC_RESIDUAL_TOL = 1e-9  # absolute: a left candidate solves its q^2
 RADICAND_FLOOR = -1e-9  # absolute: a unit point's radicand below is refused
-CLAIM_TOL = 1e-6  # absolute: Case-3 claim residual and membership of X
+CLAIM_TOL = 1e-6  # absolute: Case-3 claim residual; X's membership, Cases 2-3
 UNIT_SNAP = 1e-12  # absolute: a unit point's radicand snaps to 0
 CLAIM_MARGIN = 1e-12  # absolute: Claims A and B, |ratio|^2 clear of 1
 REAL_COEFF_TOL = 1e-10  # absolute: |Im B| and |Im C| take the real branch

@@ -11,13 +11,15 @@ strata:
           imaginary off-diagonal finishes the split.
   Case 3: b != conj(c) != 0, delta < 0.  The conjugator rows are built from
           similarity solves against u = -(b - conj(c)) conj(p) / |b - conj(c)|^2
-          for p = 2 s0 conj(c) - b conj(d) - conj(c) d, one per sphere, then
-          rescaled so the row norms satisfy the group conditions.
+          for p = 2 s0 conj(c) - b conj(d) - conj(c) d, one per sphere of
+          right_spectrum's K-form, then rescaled so the row norms satisfy
+          the group conditions.
 
 The Case-3 rescaling relies on three facts checked at runtime: the ratio
 attached to the larger-real-part sphere has modulus below 1 (Claim A), the
 other has modulus above 1 (Claim B), and the two ratios are inverse to each
-other under conjugation (Claim C).
+other under conjugation (Claim C).  Cases 2 and 3 then refuse an X whose
+membership residual is not within CLAIM_TOL; each check refuses a NaN.
 """
 
 from __future__ import annotations

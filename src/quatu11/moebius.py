@@ -48,13 +48,10 @@ class MoebiusClass(Enum):
     SIMPLE_LOXODROMIC = "SimpleLoxodromic"
     COMPOUND_LOXODROMIC = "CompoundLoxodromic"
 
-    @property
-    def coarse(self) -> str:
-        name = self.value
-        for kind in ("Elliptic", "Parabolic", "Loxodromic"):
-            if name.endswith(kind):
-                return kind.lower()
-        raise AssertionError(name)
+    def __init__(self, value: str):
+        # "elliptic", "parabolic" or "loxodromic", stored once per member
+        self.coarse = value.removeprefix("Simple").removeprefix(
+            "Compound").lower()
 
 
 def apply(t: GroupElement, z: Quaternion) -> Quaternion:

@@ -281,19 +281,20 @@ def is_similar(p: Quaternion, q: Quaternion, tol: float = SIMILARITY_TOL) -> boo
     return abs(p.w - q.w) <= tol and abs(p.norm() - q.norm()) <= tol
 
 
-def solve_similarity(s: Quaternion, u: Quaternion,
-                     tol: float = SIMILARITY_TOL) -> Quaternion:
-    """Unit x with s*x == x*u, given that s and u are similar.
+def solve_similarity(s: Quaternion, u: Quaternion) -> Quaternion:
+    """Unit x with s*x == x*u, given that s and u are similar within
+    SIMILARITY_TOL.
 
     With I = Im(s)/|Im(s)| and J = Im(u)/|Im(u)| the quaternion 1 - I*J
     intertwines the two imaginary directions; when it degenerates (J == -I)
     any unit imaginary orthogonal to I works: i's part orthogonal to I, or
     j's if that is not past 0.5, when <j, I>^2 <= 0.25 puts j's past 0.86.
     """
-    if not is_similar(s, u, tol):
-        raise NotSimilarError(f"{s} and {u} are not similar within {tol}")
+    if not is_similar(s, u):
+        raise NotSimilarError(
+            f"{s} and {u} are not similar within {SIMILARITY_TOL}")
     beta = s.imag_norm()
-    if beta <= tol:
+    if beta <= SIMILARITY_TOL:
         return ONE
     beta_u = u.imag_norm()
     if beta_u == 0.0:

@@ -57,14 +57,16 @@ class SpectralSphere(Record):
         _set_re(self, re)
         _set_modulus(self, modulus)
 
+    def _imag_radius(self) -> float:
+        return math.sqrt(max(self.modulus ** 2 - self.re ** 2, 0.0))
+
     def representative(self) -> Quaternion:
-        imag = math.sqrt(max(self.modulus ** 2 - self.re ** 2, 0.0))
-        return Quaternion(self.re, imag, 0.0, 0.0)
+        return Quaternion(self.re, self._imag_radius(), 0.0, 0.0)
 
     def sample(self, count: int, seed=0) -> list[Quaternion]:
         import numpy as np
         rng = np.random.default_rng(seed)
-        imag = math.sqrt(max(self.modulus ** 2 - self.re ** 2, 0.0))
+        imag = self._imag_radius()
         return [Quaternion(self.re, 0, 0, 0) + u * imag
                 for u in _unit_imaginaries(rng, count)]
 
@@ -124,7 +126,7 @@ def _sphere_pairs(A: float, dlt: float, unit: bool = False) -> list:
     solves lambda^2 - y lambda + 1 == 0, with y a root of
     y^2 - 2 A y + A^2 + delta.  Each quadratic gives its larger-modulus
     lambda and the inverse; |y| <= 2, or unit (|lambda| == 1 decided),
-    gives the sphere (y / 2, 1.0)."""
+    gives the sphere (y / 2, 1.0).  delta > 0 never reads unit."""
     if dlt > 0.0:
         import cmath  # only a compound loxodromic y is complex
         y = complex(A, math.sqrt(dlt))
@@ -158,8 +160,8 @@ def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
     """Spectral spheres from the case-by-case description.
 
     An independent route kept deliberately close to the entry data: the
-    off-diagonal cases work through d0, the generic case through the real
-    part of conj(c)^-1 b conj(d) + d rather than a0 + d0.
+    off-diagonal cases work through d0, the generic case through the K-form
+    on the real part of conj(c)^-1 b conj(d) + d rather than a0 + d0.
     """
     case, cls = stratum(t)
     p = t.m._p
@@ -177,21 +179,15 @@ def right_spectrum_casewise(t: GroupElement) -> RightSpectrum:
     # Re(conj(c)^-1 b conj(d) + d)
     lead = _qmul(_inverse(_conj(p[8:12])), p[4:8])
     trace_half = _qmul(lead, _conj(p[12:16]))[0] + d0
-    if cls is MoebiusClass.COMPOUND_PARABOLIC:
-        return RightSpectrum.from_pairs([(0.5 * trace_half, 1.0)])
-    dlt = _derived(t)[1]
-    if cls is MoebiusClass.COMPOUND_ELLIPTIC:
-        root = math.sqrt(-dlt)
-        return RightSpectrum.from_pairs(
-            [(0.5 * (trace_half + root), 1.0), (0.5 * (trace_half - root), 1.0)])
-    return RightSpectrum.from_pairs(_sphere_pairs(trace_half, dlt))
+    dlt = 0.0 if cls is MoebiusClass.COMPOUND_PARABOLIC else _derived(t)[1]
+    return RightSpectrum.from_pairs(_sphere_pairs(trace_half, dlt, True))
 
 
-def verify_s_point(m: Mat2H, s: Quaternion, tol: float = SPECTRUM_TOL) -> bool:
+def verify_s_point(m: Mat2H, s: Quaternion) -> bool:
     """Whether s solves the S-spectrum equation: T^2 - 2 Re(s) T + |s|^2 I
-    is singular."""
+    is singular at SPECTRUM_TOL."""
     probe = (m @ m) - (2.0 * s.w) * m + s.norm_sq() * Mat2H.identity()
-    return probe.is_singular(tol)
+    return probe.is_singular(SPECTRUM_TOL)
 
 
 def right_spectrum_oracle(m: Mat2H) -> RightSpectrum:

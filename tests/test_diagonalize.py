@@ -123,6 +123,38 @@ def test_rejects_non_elliptic():
         diagonalize_elliptic(random_element([92, 1], class_hint="CompoundParabolic"))
 
 
+@pytest.mark.parametrize("hint, case", [
+    ("SimpleElliptic", DiagonalizationCase.CASE2),
+    ("CompoundElliptic", DiagonalizationCase.CASE3)], ids=["Case2", "Case3"])
+def test_a_nan_conjugator_is_refused(hint, case, monkeypatch):
+    # A NaN similarity solve makes X all NaN.  Case 3's claim residual
+    # stays finite (max() drops a NaN after its first term), so both cases
+    # are refused at X's membership gate.
+    t = random_element([7, 1], hint)
+    assert stratum(t)[0] is case
+    nan = Quaternion(math.nan, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(quatu11._diagonalize_kernel, "solve_similarity",
+                        lambda s, u: nan)
+    with pytest.raises(ClaimViolationError,
+                       match="conjugator membership residual nan"):
+        diagonalize_elliptic(t)
+
+
+# By Claim C, |ratio2|^2 - 1 = (1 - |ratio1|^2) / |ratio1|^2 exceeds Claim A's
+# margin, so no CLAIM_MARGIN fails Claim B alone: a |ratio|^2 read as 0.5
+# passes A and fails B.
+@pytest.mark.parametrize("name, value, message", [
+    ("CLAIM_MARGIN", 1.0, r"Claim A failed: \|ratio\|\^2 = 0\.\d+ not below 1"),
+    ("_norm_sq", lambda q: math.nan, r"Claim A failed: \|ratio\|\^2 = nan"),
+    ("_norm_sq", lambda q: 0.5, r"Claim B failed: \|ratio\|\^2 = 0\.5 not above")],
+    ids=["margin_A", "nan_A", "half_B"])
+def test_claims_a_and_b_refuse_by_name(example, name, value, message,
+                                       monkeypatch):
+    monkeypatch.setattr(quatu11._diagonalize_kernel, name, value)
+    with pytest.raises(ClaimViolationError, match=message):
+        diagonalize_elliptic(example)
+
+
 def test_one_stratum_decision_per_diagonalization(class_pool, monkeypatch):
     calls = []
 

@@ -118,8 +118,9 @@ def _unit_real_part(radicand: float) -> float:
 
 
 def test_unit_point_refuses_a_radicand_below_the_floor():
-    with pytest.raises(CaseMismatchError, match="left the unit circle"):
-        _unit_point(_unit_real_part(-4e-9))
+    for s0 in (_unit_real_part(-4e-9), math.nan):
+        with pytest.raises(CaseMismatchError, match="left the unit circle"):
+            _unit_point(s0)
 
 
 @pytest.mark.parametrize("radicand", [-2e-10, 2e-13])
